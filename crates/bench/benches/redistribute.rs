@@ -469,15 +469,17 @@ fn emit_json(c: &Criterion) {
     for (i, (case, zc, st, zc_ns, st_ns, sp, phases, loaned, pack_before, pack_after, flow)) in
         entries.iter().enumerate()
     {
-        // Checksum cost on the staged plane (where every payload byte is
-        // hashed at both pack and verify): on/off ratio, > 1.0 = slower.
+        // Checksum cost per plane: on/off ratio, > 1.0 = slower. Staged
+        // hashes every payload byte during pack and again during unpack;
+        // zero-copy hashes at lend time and during the claim copy.
         let checksum_cost = st.as_secs_f64() / st_ns.as_secs_f64().max(1e-12);
+        let zerocopy_checksum_cost = zc.as_secs_f64() / zc_ns.as_secs_f64().max(1e-12);
         let sp_json = sp.map_or("null".to_string(), |s| format!("{s:.3}"));
         json.push_str(&format!(
             "    {{\"name\": \"{}\", \"bytes\": {}, \"rounds\": {}, \
              \"zerocopy_ns\": {}, \"staged_ns\": {}, \
              \"zerocopy_nochecksum_ns\": {}, \"staged_nochecksum_ns\": {}, \
-             \"checksum_cost\": {:.3}, \
+             \"checksum_cost\": {:.3}, \"zerocopy_checksum_cost\": {:.3}, \
              \"peak_staging_bytes\": {}, \"credit_stall_share\": {:.4}, \
              \"speedup\": {sp_json}, \"loaned_msgs\": {loaned}, \"identical_path\": {},\n",
             case.name,
@@ -488,20 +490,20 @@ fn emit_json(c: &Criterion) {
             zc_ns.as_nanos(),
             st_ns.as_nanos(),
             checksum_cost,
+            zerocopy_checksum_cost,
             flow.peak_staging_bytes,
             flow.credit_stall_share,
             *loaned == 0,
         ));
         // Pack-kernel dispatch deltas across the traced sample: which tier
-        // (fused memcpy / lane gather / scalar / pooled fan-out) this case's
-        // selections actually ran through.
+        // (fused memcpy / lane gather / scalar) this case's selections
+        // actually ran through.
         json.push_str(&format!(
             "     \"pack\": {{\"fused_runs\": {}, \"vector_bytes\": {}, \
-             \"scalar_bytes\": {}, \"pool_dispatches\": {}}},\n",
+             \"scalar_bytes\": {}}},\n",
             pack_after.fused_runs - pack_before.fused_runs,
             pack_after.vector_bytes - pack_before.vector_bytes,
             pack_after.scalar_bytes - pack_before.scalar_bytes,
-            pack_after.pool_dispatches - pack_before.pool_dispatches,
         ));
         // Multi-round cases additionally carry the pipelined-vs-round-sync
         // comparison: depth-2 and depth-1 timings from the criterion columns

@@ -388,7 +388,14 @@ fn explorer_convicts_head_of_line_credit_deadlock() {
                 comm.recv_bytes(other, 3)?;
                 Ok::<_, Error>(())
             });
-        out.into_iter().collect::<Result<Vec<_>, _>>().map(|_| ()).map_err(|e| e.to_string())
+        // Convict the root failure. Whichever rank's credit wait gives up
+        // first dies, and its peer then fails fast with `PeerDead`; that
+        // follow-on error can sit at a lower rank than the cause.
+        let errors: Vec<Error> = out.into_iter().filter_map(Result::err).collect();
+        match errors.iter().find(|e| !matches!(e, Error::PeerDead { .. })).or(errors.first()) {
+            Some(e) => Err(e.to_string()),
+            None => Ok(()),
+        }
     };
     let report = explore(default_seed_budget(), run);
     let failure =

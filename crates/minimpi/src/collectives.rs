@@ -10,10 +10,10 @@ use crate::check::{CollFingerprint, CollectiveKind, TypeSig};
 use crate::comm::{coll_key_tag, Comm};
 use crate::datatype::{copy_selection, Datatype};
 use crate::error::{Error, Result};
-use crate::fault::{mix64, Keystream};
+use crate::fault::mix64;
 use crate::mailbox::{Envelope, Payload};
 use crate::pod::{bytes_of, vec_from_bytes, Pod};
-use crate::zerocopy::{ZcCell, ZcWait, PARALLEL_COPY_MIN_BYTES};
+use crate::zerocopy::{ZcCell, ZcWait};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -743,9 +743,9 @@ impl Comm {
     /// verifying its envelope checksum along the way. Staged payloads verify
     /// in packed form — *before* unpacking when recovery is armed (a corrupt
     /// payload must never touch `recv_buf` ahead of its retransmit), fused
-    /// into the unpack traversal otherwise; zero-copy loans are claimed, copied
-    /// straight out of the sender's buffer, tainted with any claim-time
-    /// corrupt-fault keystreams, and re-verified over the receiver's copy
+    /// into the unpack traversal otherwise; zero-copy loans are claimed and
+    /// copied straight out of the sender's buffer with the hash folded into
+    /// the copy ([`Comm::claim_verifying`]), and the verdict is known
     /// *before* the loan cell flips to DONE — a corrupt claim never silently
     /// releases the sender.
     fn deliver_alltoallw(
@@ -804,19 +804,11 @@ impl Comm {
                 // SAFETY: the claim succeeded, so the sender is blocked in
                 // ZcCell::wait and `send_buf` stays alive until finish().
                 let src_buf = unsafe { h.src_slice() };
-                let res = self.zc_copy_in(src_buf, &h.dt, dt, recv_buf).and_then(|()| {
-                    // Claim-time fault injection: the loan had no in-flight
-                    // bytes to scramble, so the injector recorded keystream
-                    // inits and the corruption lands on *our* copy here —
-                    // the sender's buffer stays pristine for retransmits.
-                    for &init in &taints {
-                        let mut ks = Keystream::new(init);
-                        for (off, len) in dt.byte_runs() {
-                            ks.scramble(&mut recv_buf[off..off + len]);
-                        }
-                    }
-                    self.verify_selection(src, key_tag, epoch, checksum, dt, recv_buf)
-                });
+                // Claim-time fault taints land on *our* copy, so the
+                // sender's buffer stays pristine for retransmits.
+                let res = self.claim_verifying(
+                    src, key_tag, epoch, checksum, &taints, src_buf, &h.dt, dt, recv_buf,
+                );
                 if let Some(check) = &self.world.check {
                     check.loan_done(&h.cell, self.world_rank());
                 }
@@ -827,23 +819,6 @@ impl Comm {
                 }
             }
         }
-    }
-
-    /// Copy `src_dt`'s selection of the sender's buffer into `dst_dt`'s
-    /// selection of `recv_buf`. [`copy_selection`] dispatches through the
-    /// pack-kernel layer, which fans large copies out across the copy pool;
-    /// this wrapper only keeps the transport-level counter.
-    fn zc_copy_in(
-        &self,
-        src_buf: &[u8],
-        src_dt: &Datatype,
-        dst_dt: &Datatype,
-        recv_buf: &mut [u8],
-    ) -> Result<()> {
-        if src_dt.packed_len() >= PARALLEL_COPY_MIN_BYTES {
-            self.world.transport.parallel_copies.fetch_add(1, Ordering::Relaxed);
-        }
-        copy_selection(src_buf, src_dt, recv_buf, dst_dt)
     }
 
     /// Sparse personalized exchange: send each `(dest, payload)` pair and
@@ -1726,5 +1701,114 @@ mod tests {
                 "seed {seed}: exchange took {elapsed:?} — a loan was stranded"
             );
         }
+    }
+
+    /// Multi-run loan geometry whose 5-byte runs leave the fused claim's hash
+    /// mid-chunk between run pairs: a 5x7 block out of a 13x9 byte array,
+    /// landing in a 5x7 block of an 8x9 one.
+    fn odd_width_loan_types() -> (Datatype, Datatype) {
+        (
+            Datatype::Subarray(crate::Subarray::d2([13, 9], [5, 7], [3, 1], 1).unwrap()),
+            Datatype::Subarray(crate::Subarray::d2([8, 9], [5, 7], [2, 1], 1).unwrap()),
+        )
+    }
+
+    /// The fused claim (copy and verify in one pass), driven through
+    /// `deliver_alltoallw` on hand-deposited loans: a clean claim lands the
+    /// selection exactly; a wrong lend-time checksum and a claim-time taint
+    /// are each an `IntegrityFailure` counted in `detected`, with and without
+    /// recovery armed; every claim, failed or not, releases its sender.
+    #[test]
+    fn fused_claim_detects_bad_checksum_and_taint() {
+        let (src_dt, dst_dt) = odd_width_loan_types();
+        let lent: Vec<u8> = (0..13 * 9).map(|i| (i * 37 % 251) as u8).collect();
+        let mut expected = vec![0u8; 8 * 9];
+        copy_selection(&lent, &src_dt, &mut expected, &dst_dt).unwrap();
+        for armed in [false, true] {
+            let mut builder = Universe::builder()
+                .zerocopy(true)
+                .zerocopy_threshold(0)
+                .timeout(Duration::from_secs(20));
+            if armed {
+                // A corrupt rule on a route this test never uses arms
+                // recovery without tainting any loan.
+                builder =
+                    builder.fault_plan(crate::FaultPlan::new(5).corrupt_message(1, 0, None, 0));
+            }
+            let (lent, expected) = (lent.clone(), expected.clone());
+            builder.run(2, move |comm| {
+                let tags = [coll_key_tag(0, 0), coll_key_tag(1, 0), coll_key_tag(2, 0)];
+                if comm.rank() == 0 {
+                    let cells: Vec<_> = tags
+                        .iter()
+                        .map(|&t| comm.deposit_shared(1, t, &lent, src_dt).unwrap())
+                        .collect();
+                    for cell in cells {
+                        let w = cell.wait(Instant::now() + Duration::from_secs(10), || false);
+                        assert_eq!(w, ZcWait::Done, "armed={armed}: a claim stranded its sender");
+                    }
+                    return;
+                }
+                assert_eq!(comm.recovery_armed(), armed);
+                let before = comm.integrity_counters();
+                let mut recv = vec![0u8; 8 * 9];
+                let env = comm.take_envelope_from(0, tags[0]).unwrap();
+                comm.deliver_alltoallw(0, tags[0], env, &dst_dt, &mut recv).unwrap();
+                assert_eq!(recv, expected, "armed={armed}: clean claim");
+
+                let mut env = comm.take_envelope_from(0, tags[1]).unwrap();
+                env.checksum = env.checksum.map(|c| c ^ 1);
+                let err = comm.deliver_alltoallw(0, tags[1], env, &dst_dt, &mut recv).unwrap_err();
+                assert!(
+                    matches!(err, Error::IntegrityFailure { src: 0, .. }),
+                    "armed={armed}: {err}"
+                );
+
+                let mut env = comm.take_envelope_from(0, tags[2]).unwrap();
+                env.taints.push(0x7A1_7A1);
+                let err = comm.deliver_alltoallw(0, tags[2], env, &dst_dt, &mut recv).unwrap_err();
+                assert!(
+                    matches!(err, Error::IntegrityFailure { src: 0, .. }),
+                    "armed={armed}: {err}"
+                );
+
+                let after = comm.integrity_counters();
+                assert_eq!(after.checked - before.checked, 3, "armed={armed}");
+                assert_eq!(after.detected - before.detected, 2, "armed={armed}");
+            });
+        }
+    }
+
+    /// End to end with recovery armed: a real corrupt rule taints the
+    /// multi-run loan at claim time, the fused claim detects it, and the
+    /// NACK/retransmit protocol delivers a clean copy.
+    #[test]
+    fn fused_claim_taint_recovers_through_retransmit() {
+        let (src_dt, dst_dt) = odd_width_loan_types();
+        let out = Universe::builder()
+            .zerocopy(true)
+            .zerocopy_threshold(0)
+            .timeout(Duration::from_secs(20))
+            .fault_plan(crate::FaultPlan::new(9).corrupt_message(0, 1, None, 0))
+            .run(2, move |comm| {
+                let lent: Vec<u8> = (0..13 * 9).map(|i| (i * 37 % 251) as u8).collect();
+                let mut recv = vec![0u8; 8 * 9];
+                let (st, rt) = match comm.rank() {
+                    0 => ([Datatype::Empty, src_dt], [Datatype::Empty; 2]),
+                    _ => ([Datatype::Empty; 2], [dst_dt, Datatype::Empty]),
+                };
+                comm.alltoallw(&lent, &st, &mut recv, &rt)?;
+                let mut expected = vec![0u8; 8 * 9];
+                if comm.rank() == 1 {
+                    copy_selection(&lent, &src_dt, &mut expected, &dst_dt).unwrap();
+                }
+                assert_eq!(recv, expected, "rank {}", comm.rank());
+                Ok::<_, Error>((comm.integrity_counters(), comm.transport_counters()))
+            });
+        let (c1, t1) = out[1].as_ref().expect("receiver must recover");
+        assert!(c1.detected >= 1, "the claim-time taint must be detected: {c1:?}");
+        assert!(c1.retransmits >= 1, "the sender must retransmit: {c1:?}");
+        assert_eq!(c1.exhausted, 0, "{c1:?}");
+        assert!(t1.zerocopy_msgs >= 1, "the first copy must travel as a loan: {t1:?}");
     }
 }

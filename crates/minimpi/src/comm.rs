@@ -1,7 +1,7 @@
 //! Communicators and point-to-point messaging.
 
 use crate::check::{CheckCounters, CheckState, CollFingerprint, TypeSig};
-use crate::datatype::Datatype;
+use crate::datatype::{copy_selection, copy_selection_hashed, Datatype};
 use crate::elastic::ElasticState;
 use crate::error::{Error, Result};
 use crate::fault::{mix64, FaultPlan, FaultState, Keystream, MessageVerdict};
@@ -407,8 +407,15 @@ impl Comm {
         bytes: &[u8],
     ) -> Result<()> {
         let Some(want) = expected else { return Ok(()) };
+        let got = checksum64(self.stream_seed(src, key_tag, epoch), bytes);
+        self.integrity_verdict(src, key_tag, got, want)
+    }
+
+    /// Count one checksum comparison and turn a mismatch into
+    /// [`Error::IntegrityFailure`] with `attempt 0`.
+    fn integrity_verdict(&self, src: usize, key_tag: u64, got: u64, want: u64) -> Result<()> {
         self.world.integrity.checked.fetch_add(1, Ordering::Relaxed);
-        if checksum64(self.stream_seed(src, key_tag, epoch), bytes) == want {
+        if got == want {
             return Ok(());
         }
         self.world.integrity.detected.fetch_add(1, Ordering::Relaxed);
@@ -436,15 +443,9 @@ impl Comm {
         recv_buf: &mut [u8],
     ) -> Result<()> {
         let Some(want) = expected else { return dt.unpack(packed, recv_buf) };
-        self.world.integrity.checked.fetch_add(1, Ordering::Relaxed);
         let mut c = Checksum::new(self.stream_seed(src, key_tag, epoch));
         dt.unpack_hashed(packed, recv_buf, &mut c)?;
-        if c.finish() == want {
-            return Ok(());
-        }
-        self.world.integrity.detected.fetch_add(1, Ordering::Relaxed);
-        ddrtrace::instant_arg("minimpi", "integrity_detected", "src", src as i64);
-        Err(Error::IntegrityFailure { src, dst: self.rank, tag: key_tag, attempt: 0 })
+        self.integrity_verdict(src, key_tag, c.finish(), want)
     }
 
     /// True when corruption recovery (NACK/retransmit) is armed: checksums
@@ -455,30 +456,47 @@ impl Comm {
         self.world.checksum && self.world.faults.as_ref().is_some_and(|f| f.has_corrupt_rules())
     }
 
-    /// Verify a delivered payload *in place* in `buf`, walking `dt`'s byte
-    /// runs in packed order — the zero-copy claim path's counterpart of
-    /// [`Comm::verify_payload`], equal to hashing the packed form.
-    pub(crate) fn verify_selection(
+    /// Copy a claimed zero-copy loan — `lent_dt`'s selection of the
+    /// lender's buffer — into `dt`'s selection of `recv_buf`, verifying it
+    /// against the lend-time checksum in the same traversal: every run pair
+    /// is copied and hashed in one pass, in packed order, which is the order
+    /// the lend-time hash covers. Claim-time corrupt-fault `taints` (fault
+    /// plans only) then scramble the copy, and a tainted copy is re-hashed,
+    /// so the verdict always covers the bytes that actually landed in
+    /// `recv_buf`.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn claim_verifying(
         &self,
         src: usize,
         key_tag: u64,
         epoch: u64,
         expected: Option<u64>,
+        taints: &[u64],
+        lent: &[u8],
+        lent_dt: &Datatype,
         dt: &Datatype,
-        buf: &[u8],
+        recv_buf: &mut [u8],
     ) -> Result<()> {
+        let seed = self.stream_seed(src, key_tag, epoch);
+        let mut c = Checksum::new(seed);
+        match expected {
+            Some(_) => copy_selection_hashed(lent, lent_dt, recv_buf, dt, &mut c)?,
+            None => copy_selection(lent, lent_dt, recv_buf, dt)?,
+        }
+        for &init in taints {
+            let mut ks = Keystream::new(init);
+            for (off, len) in dt.byte_runs() {
+                ks.scramble(&mut recv_buf[off..off + len]);
+            }
+        }
         let Some(want) = expected else { return Ok(()) };
-        self.world.integrity.checked.fetch_add(1, Ordering::Relaxed);
-        let mut c = Checksum::new(self.stream_seed(src, key_tag, epoch));
-        for (off, len) in dt.byte_runs() {
-            c.update(&buf[off..off + len]);
+        if !taints.is_empty() {
+            c = Checksum::new(seed);
+            for (off, len) in dt.byte_runs() {
+                c.update(&recv_buf[off..off + len]);
+            }
         }
-        if c.finish() == want {
-            return Ok(());
-        }
-        self.world.integrity.detected.fetch_add(1, Ordering::Relaxed);
-        ddrtrace::instant_arg("minimpi", "integrity_detected", "src", src as i64);
-        Err(Error::IntegrityFailure { src, dst: self.rank, tag: key_tag, attempt: 0 })
+        self.integrity_verdict(src, key_tag, c.finish(), want)
     }
 
     /// Maybe-delay hook for the seeded schedule explorer: a no-op (one

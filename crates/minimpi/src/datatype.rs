@@ -324,9 +324,6 @@ pub(crate) fn for_each_run_pair(
 
 /// Copy `src_dt`'s selection of `src` directly into `dst_dt`'s selection of
 /// `dst`. Both buffers are validated against their datatypes up front.
-/// Large copies (≥ 4 MiB) collect the run pairs and fan out across the
-/// [`crate::kernels`] pool dispatcher — the same tier `pack_into`/`unpack`
-/// use — so `copy_to` and the zero-copy claim share one dispatch point.
 pub(crate) fn copy_selection(
     src: &[u8],
     src_dt: &Datatype,
@@ -335,15 +332,27 @@ pub(crate) fn copy_selection(
 ) -> Result<()> {
     src_dt.check_bounds(src.len())?;
     dst_dt.check_bounds(dst.len())?;
-    let total = src_dt.packed_len();
-    if total >= crate::zerocopy::PARALLEL_COPY_MIN_BYTES && !cfg!(miri) {
-        let mut pairs = Vec::new();
-        for_each_run_pair(src_dt, dst_dt, |s, d, n| pairs.push((s, d, n)))?;
-        kernels::copy_pairs(src, dst, pairs, total);
-        return Ok(());
-    }
     for_each_run_pair(src_dt, dst_dt, |s, d, n| {
         dst[d..d + n].copy_from_slice(&src[s..s + n]);
+    })
+}
+
+/// [`copy_selection`] that folds every copied byte into `sum` in the same
+/// traversal. The run pairs arrive in packed order, so the result equals
+/// hashing the packed form of the selection — what the sender's lend-time
+/// hash covers. This is the zero-copy claim's single pass: copy and verify
+/// read each source byte once.
+pub(crate) fn copy_selection_hashed(
+    src: &[u8],
+    src_dt: &Datatype,
+    dst: &mut [u8],
+    dst_dt: &Datatype,
+    sum: &mut Checksum,
+) -> Result<()> {
+    src_dt.check_bounds(src.len())?;
+    dst_dt.check_bounds(dst.len())?;
+    for_each_run_pair(src_dt, dst_dt, |s, d, n| {
+        sum.update_copying_to(&src[s..s + n], &mut dst[d..d + n]);
     })
 }
 
@@ -660,5 +669,52 @@ mod tests {
         s_src.copy_to(&src, &s_dst, &mut dst).unwrap();
         assert_eq!(&dst[0..2], &[2, 3]);
         assert_eq!(&dst[4..6], &[4, 5]);
+    }
+
+    /// The zero-copy claim's fused copy+hash must land exactly what a plain
+    /// selection copy lands, and hash exactly what a second verify walk over
+    /// the destination's runs (in packed order) would. Run widths of 5 and
+    /// 12 bytes leave the hash mid-chunk between run pairs, which exercises
+    /// the `pending_len > 0` fallback of `update_copying_to`.
+    #[test]
+    fn hashed_selection_copy_matches_copy_then_verify() {
+        use crate::integrity::checksum64;
+        let src: Vec<u8> = (0..640).map(|i| (i * 7 % 251) as u8).collect();
+        let cases = [
+            // 5-byte source runs into one contiguous 35-byte destination run.
+            (
+                Datatype::Subarray(Subarray::d2([13, 9], [5, 7], [3, 1], 1).unwrap()),
+                Datatype::Subarray(Subarray::d2([7, 7], [7, 5], [0, 2], 1).unwrap()),
+            ),
+            // 12-byte runs (3 x u32) against 8-byte runs (2 x u32): the pair
+            // walk splits runs, and neither width is a multiple of the other.
+            (
+                Datatype::Subarray(Subarray::d2([10, 8], [3, 4], [2, 3], 4).unwrap()),
+                Datatype::Subarray(Subarray::d2([5, 9], [2, 6], [1, 2], 4).unwrap()),
+            ),
+            // Contiguous source into a strided 3-D destination.
+            (
+                Datatype::Contiguous { len_bytes: 60, offset: 17 },
+                Datatype::Subarray(Subarray::d3([6, 5, 4], [3, 2, 2], [1, 2, 1], 5).unwrap()),
+            ),
+        ];
+        for (i, (src_dt, dst_dt)) in cases.iter().enumerate() {
+            let mut plain = vec![0xEEu8; 640];
+            copy_selection(&src, src_dt, &mut plain, dst_dt).unwrap();
+            let mut verify = Checksum::new(31);
+            for (off, len) in dst_dt.byte_runs() {
+                verify.update(&plain[off..off + len]);
+            }
+
+            let mut fused = vec![0xEEu8; 640];
+            let mut sum = Checksum::new(31);
+            copy_selection_hashed(&src, src_dt, &mut fused, dst_dt, &mut sum).unwrap();
+            assert_eq!(fused, plain, "case {i}: fused copy landed different bytes");
+            let got = sum.finish();
+            assert_eq!(got, verify.finish(), "case {i}: fused hash != verify walk");
+            let mut packed = Vec::new();
+            src_dt.pack_into(&src, &mut packed).unwrap();
+            assert_eq!(got, checksum64(31, &packed), "case {i}: fused hash != packed hash");
+        }
     }
 }

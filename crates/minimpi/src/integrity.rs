@@ -8,6 +8,15 @@
 //! receiver's buffer. Detection is the first rung of the ladder; the
 //! NACK/retransmit recovery protocol lives in `collectives::alltoallw`.
 //!
+//! Each side pays one pass. Staged senders hash during the pack gather and
+//! receivers during the unpack scatter (or just before it, while recovery
+//! is armed). A zero-copy loan is hashed by the sender at lend time, and
+//! the receiver's claim copies and hashes each run pair in the same pass
+//! ([`Checksum::update_copying_to`] over the pair walk, in packed order),
+//! so verification adds no walk of its own to the claim. There is no copy
+//! pool: the claim runs on the receiving rank's thread, and the ranks of
+//! an exchange already copy in parallel.
+//!
 //! The hash folds 8-byte chunks into four independent lanes (lane = absolute
 //! chunk index mod 4) with one odd-constant multiply per chunk
 //! (`lane = (lane ^ chunk) * FOLD`), then finishes the lanes through the
@@ -157,10 +166,12 @@ impl Checksum {
         assert_eq!(src.len(), dst.len(), "copy-fold length mismatch");
         self.total = self.total.wrapping_add(src.len() as u64);
         if self.pending_len > 0 {
-            // Mid-chunk state: rare, take the two-pass route (see
-            // `update_copying`).
+            // Mid-chunk state (a previous piece's length was not a multiple
+            // of 8): take the two-pass route (see `update_copying`). Fold
+            // the copy, not the source, so the hash always covers the bytes
+            // that landed in `dst`.
             dst.copy_from_slice(src);
-            self.fold_bytes(src);
+            self.fold_bytes(dst);
             return;
         }
         let p = (self.chunk_idx & 3) as usize;
@@ -197,8 +208,8 @@ impl Checksum {
         self.lanes[(p + 2) & 3] = l2;
         self.lanes[(p + 3) & 3] = l3;
         self.chunk_idx += 4 * ngroups as u64;
-        let tail = groups.remainder();
-        dst[32 * ngroups..].copy_from_slice(tail);
+        let tail = &mut dst[32 * ngroups..];
+        tail.copy_from_slice(groups.remainder());
         self.fold_tail(tail);
     }
 

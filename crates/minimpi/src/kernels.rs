@@ -1,25 +1,26 @@
 //! Specialized pack/unpack kernels for subarray selections.
 //!
 //! The datatype engine describes every selection as a stream of contiguous
-//! byte runs ([`crate::Subarray::byte_runs`]). This module is the single
-//! place those runs are *moved*: `pack` (gather into a packed buffer),
-//! `unpack` (scatter a packed buffer back into a selection), and the
-//! run-pair copy behind `copy_to` / the zero-copy claim all dispatch here.
+//! byte runs ([`crate::Subarray::byte_runs`]). This module moves those runs
+//! for `pack` (gather into a packed buffer) and `unpack` (scatter a packed
+//! buffer back into a selection); selection-to-selection copies (`copy_to`,
+//! the zero-copy claim) walk run pairs in [`crate::datatype`].
 //!
-//! Three tiers, chosen per call from the [`RunShape`] cached on the
+//! Two tiers, chosen per call from the [`RunShape`] cached on the
 //! datatype at construction time:
 //!
 //! 1. **Fused**: a selection whose runs merged into a single contiguous
 //!    stretch (full-array selections, 2-D slabs with contiguous rows) is one
 //!    `memcpy` — no per-run loop at all.
-//! 2. **Pooled**: at or above [`PARALLEL_COPY_MIN_BYTES`] (the existing
-//!    ≥ 4 MiB zero-copy bound) the runs are sharded across the process
-//!    [`CopyPool`], so huge packs, unpacks and claim copies all use the same
-//!    parallel dispatcher.
-//! 3. **Lanes**: strided interior selections copy through a fixed-width
+//! 2. **Lanes**: strided interior selections copy through a fixed-width
 //!    lane loop (`[u8; N]` reads/writes for the common run widths), which
 //!    the compiler vectorizes; other widths fall back to a scalar
 //!    `copy_nonoverlapping` per run.
+//!
+//! Every copy runs on the calling rank's thread, whatever its size. An
+//! exchange already copies on every rank at once, so the rank threads are
+//! the parallelism; a helper pool fanning multi-MiB copies out only added
+//! threads competing for the same cores.
 //!
 //! Sender-side envelope checksums fold *during* the gather
 //! ([`pack_runs_hashed`]): the 4-lane hash is split-point independent
@@ -31,7 +32,6 @@
 //! in the ddr-trace report and exported via [`crate::pack_counters`].
 
 use crate::integrity::Checksum;
-use crate::zerocopy::{shard_runs, CopyPool, PARALLEL_COPY_MIN_BYTES};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The derived run structure of a subarray selection, computed once at
@@ -135,17 +135,17 @@ pub struct PackCounters {
     pub fused_runs: u64,
     /// Bytes moved through the fixed-width lane gather/scatter loops.
     pub vector_bytes: u64,
-    /// Bytes moved through the scalar per-run fallback (odd run widths and
-    /// run-pair copies).
+    /// Bytes moved through the scalar per-run fallback (odd run widths).
     pub scalar_bytes: u64,
-    /// Batches fanned out across the [`CopyPool`] (≥ 4 MiB).
+    /// Batches fanned out to helper copy threads. Always 0: every copy
+    /// runs on the calling rank's thread. Kept so readers of the counter
+    /// set (the benchmark's `minimpi.pack_pool_dispatches`) keep working.
     pub pool_dispatches: u64,
 }
 
 static FUSED_RUNS: AtomicU64 = AtomicU64::new(0);
 static VECTOR_BYTES: AtomicU64 = AtomicU64::new(0);
 static SCALAR_BYTES: AtomicU64 = AtomicU64::new(0);
-static POOL_DISPATCHES: AtomicU64 = AtomicU64::new(0);
 
 /// Snapshot of the process-global kernel counters (monotone totals).
 pub fn snapshot() -> PackCounters {
@@ -153,7 +153,7 @@ pub fn snapshot() -> PackCounters {
         fused_runs: FUSED_RUNS.load(Ordering::Relaxed),
         vector_bytes: VECTOR_BYTES.load(Ordering::Relaxed),
         scalar_bytes: SCALAR_BYTES.load(Ordering::Relaxed),
-        pool_dispatches: POOL_DISPATCHES.load(Ordering::Relaxed),
+        pool_dispatches: 0,
     }
 }
 
@@ -202,37 +202,6 @@ fn pack_impl(src: &[u8], shape: &RunShape, out: &mut Vec<u8>, mut sum: Option<&m
     }
     let start = out.len();
     out.reserve(total);
-    if total >= PARALLEL_COPY_MIN_BYTES && !cfg!(miri) {
-        // Fan the copy out across the pool. When a checksum is requested the
-        // submitting thread hashes the source runs (in packed order — equal
-        // to hashing the packed image) concurrently with the workers'
-        // copies, so the hash still costs no extra pass.
-        let mut pairs = Vec::with_capacity(shape.nruns);
-        let mut cursor = 0usize;
-        for (off, len) in runs(shape) {
-            pairs.push((off, cursor, len));
-            cursor += len;
-        }
-        let shards = shard_runs(pairs);
-        // SAFETY: `reserve(total)` above guarantees `total` spare bytes
-        // after `start`; the shard destinations partition exactly
-        // [0, total), so every reserved byte is written before `set_len`.
-        // Sources stay in-bounds by the `max_end` assert.
-        unsafe {
-            let dst = out.as_mut_ptr().add(start);
-            match sum {
-                Some(s) => CopyPool::global().run_batch_with(src.as_ptr(), dst, shards, || {
-                    for (off, len) in runs(shape) {
-                        s.update(&src[off..off + len]);
-                    }
-                }),
-                None => CopyPool::global().run_batch(src.as_ptr(), dst, shards),
-            }
-            out.set_len(start + total);
-        }
-        POOL_DISPATCHES.fetch_add(1, Ordering::Relaxed);
-        return;
-    }
     // SAFETY: spare capacity of `total` bytes was reserved; the lane/scalar
     // loops write runs at consecutive cursor positions covering exactly
     // [start, start + total); source offsets are bounded by the `max_end`
@@ -307,28 +276,6 @@ fn unpack_impl(packed: &[u8], shape: &RunShape, dst: &mut [u8], mut sum: Option<
         FUSED_RUNS.fetch_add(1, Ordering::Relaxed);
         return;
     }
-    if total >= PARALLEL_COPY_MIN_BYTES && !cfg!(miri) {
-        let mut pairs = Vec::with_capacity(shape.nruns);
-        let mut cursor = 0usize;
-        for (off, len) in runs(shape) {
-            pairs.push((cursor, off, len));
-            cursor += len;
-        }
-        let shards = shard_runs(pairs);
-        // The destination runs of one selection are pairwise disjoint, so
-        // sharding them across workers is race-free; `dst` is initialized
-        // memory throughout. The submitting thread folds the (contiguous)
-        // packed image concurrently with the workers' copies.
-        match sum {
-            Some(s) => {
-                CopyPool::global()
-                    .run_batch_with(packed.as_ptr(), dst.as_mut_ptr(), shards, || s.update(packed))
-            }
-            None => CopyPool::global().run_batch(packed.as_ptr(), dst.as_mut_ptr(), shards),
-        }
-        POOL_DISPATCHES.fetch_add(1, Ordering::Relaxed);
-        return;
-    }
     // SAFETY: destination runs are in-bounds by the `max_end` assert;
     // source cursor positions cover exactly `packed`.
     unsafe {
@@ -361,28 +308,6 @@ fn unpack_impl(packed: &[u8], shape: &RunShape, dst: &mut [u8], mut sum: Option<
         // hits L1-hot bytes instead of paying a separate cold pass.
         s.update(packed);
     }
-}
-
-/// Copy pre-walked `(src_off, dst_off, len)` run pairs totalling `total`
-/// bytes, fanning out across the pool at the ≥ 4 MiB bound — the shared
-/// dispatcher behind `copy_to` and the zero-copy claim copy. Destination
-/// ranges must be pairwise disjoint (selection runs are).
-pub(crate) fn copy_pairs(
-    src: &[u8],
-    dst: &mut [u8],
-    pairs: Vec<(usize, usize, usize)>,
-    total: usize,
-) {
-    if total >= PARALLEL_COPY_MIN_BYTES && !cfg!(miri) {
-        let shards = shard_runs(pairs);
-        CopyPool::global().run_batch(src.as_ptr(), dst.as_mut_ptr(), shards);
-        POOL_DISPATCHES.fetch_add(1, Ordering::Relaxed);
-        return;
-    }
-    for (s, d, n) in pairs {
-        dst[d..d + n].copy_from_slice(&src[s..s + n]);
-    }
-    SCALAR_BYTES.fetch_add(total as u64, Ordering::Relaxed);
 }
 
 /// Iterate the shape's `(offset, len)` runs in packed order (cheap,
@@ -513,21 +438,6 @@ mod tests {
     }
 
     #[test]
-    fn pooled_hashed_unpack_matches_one_shot_checksum() {
-        use crate::integrity::checksum64;
-        let run = 128 * 1024;
-        let n1 = 40; // 5 MiB
-        let shape = shape_2d(16, run, 1, 0, n1, run + 64);
-        let src: Vec<u8> = (0..(run + 64) * n1 + 16).map(|i| (i % 247) as u8).collect();
-        let packed = reference_pack(&src, &shape);
-        let mut dst = vec![0u8; src.len()];
-        let mut sum = Checksum::new(13);
-        unpack_runs_hashed(&packed, &shape, &mut dst, &mut sum);
-        assert_eq!(sum.finish(), checksum64(13, &packed));
-        assert_eq!(reference_pack(&dst, &shape), packed);
-    }
-
-    #[test]
     fn fused_single_run_is_one_memcpy() {
         let src: Vec<u8> = (0..64).collect();
         let shape = RunShape::contiguous(8, 16);
@@ -536,16 +446,6 @@ mod tests {
         pack_runs(&src, &shape, &mut out);
         assert_eq!(out, &src[8..24]);
         assert_eq!(snapshot().fused_runs, before + 1);
-    }
-
-    #[test]
-    fn copy_pairs_moves_disjoint_runs() {
-        let src: Vec<u8> = (0..=255).collect();
-        let mut dst = vec![0u8; 256];
-        let pairs = vec![(0usize, 128usize, 64usize), (128, 0, 64)];
-        copy_pairs(&src, &mut dst, pairs, 128);
-        assert_eq!(&dst[128..192], &src[0..64]);
-        assert_eq!(&dst[0..64], &src[128..192]);
     }
 
     #[test]
@@ -561,34 +461,31 @@ mod tests {
     }
 
     #[test]
-    fn pooled_pack_and_unpack_match_reference() {
-        // Large enough to cross PARALLEL_COPY_MIN_BYTES with strided runs.
+    fn multi_mib_strided_pack_and_unpack_match_reference() {
+        use crate::integrity::checksum64;
+        // Multi-MiB strided selection: 96 runs x 64 KiB = 6 MiB, moved on
+        // the calling thread, plain and hashed.
         let run = 64 * 1024;
-        let n1 = 96; // 96 runs x 64 KiB = 6 MiB > 4 MiB
+        let n1 = 96;
         let src: Vec<u8> = (0..(run + 512) * n1 + 64).map(|i| (i % 253) as u8).collect();
         let shape = shape_2d(32, run, 1, 0, n1, run + 512);
-        let before = snapshot().pool_dispatches;
+        let reference = reference_pack(&src, &shape);
         let mut out = Vec::new();
         pack_runs(&src, &shape, &mut out);
-        assert_eq!(out, reference_pack(&src, &shape));
+        assert_eq!(out, reference);
         let mut dst = vec![0u8; src.len()];
         unpack_runs(&out, &shape, &mut dst);
-        assert_eq!(reference_pack(&dst, &shape), out);
-        if !cfg!(miri) {
-            assert!(snapshot().pool_dispatches >= before + 2);
-        }
-    }
+        assert_eq!(reference_pack(&dst, &shape), reference);
 
-    #[test]
-    fn pooled_hashed_pack_matches_one_shot_checksum() {
-        use crate::integrity::checksum64;
-        let run = 128 * 1024;
-        let n1 = 40; // 5 MiB
-        let src: Vec<u8> = (0..(run + 64) * n1 + 16).map(|i| (i % 249) as u8).collect();
-        let shape = shape_2d(16, run, 1, 0, n1, run + 64);
-        let mut out = Vec::new();
+        let mut hashed = Vec::new();
         let mut sum = Checksum::new(7);
-        pack_runs_hashed(&src, &shape, &mut out, &mut sum);
-        assert_eq!(sum.finish(), checksum64(7, &out));
+        pack_runs_hashed(&src, &shape, &mut hashed, &mut sum);
+        assert_eq!(hashed, reference);
+        assert_eq!(sum.finish(), checksum64(7, &reference));
+        let mut dst = vec![0u8; src.len()];
+        let mut sum = Checksum::new(13);
+        unpack_runs_hashed(&reference, &shape, &mut dst, &mut sum);
+        assert_eq!(sum.finish(), checksum64(13, &reference));
+        assert_eq!(reference_pack(&dst, &shape), reference);
     }
 }

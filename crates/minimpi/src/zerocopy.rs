@@ -4,7 +4,7 @@
 //! message does not need MPI's pack → send → unpack staging: the *receiver*
 //! can copy each contiguous run straight out of the sender's source buffer
 //! into its own destination buffer — one `copy_from_slice` per run, zero
-//! intermediate allocations. This module provides the three pieces that make
+//! intermediate allocations. This module provides the two pieces that make
 //! that safe and fast:
 //!
 //! * [`ZcCell`] / [`ZcHandle`] — a rendezvous protocol for lending a borrowed
@@ -18,14 +18,17 @@
 //! * [`BufferPool`] — reusable staging buffers for the paths that still must
 //!   pack (fault-injected routes, explicit opt-out), with a high-water-mark
 //!   trim so a one-off huge exchange does not pin memory forever.
-//! * [`CopyPool`] — a small lazily-spawned worker pool that fans the per-peer
-//!   run copies of large exchanges out across cores.
+//!
+//! The claim copy runs on the receiving rank's own thread, hashing as it
+//! copies (`Comm::claim_verifying`). There is no helper pool to fan large
+//! copies out: in an `alltoallw` every rank is already copying at the same
+//! time, so the rank threads are the parallelism, and extra copy workers
+//! only compete with them for the same cores.
 
 use crate::datatype::Datatype;
 use crate::flow::FlowLedger;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 // ---------------------------------------------------------------------------
@@ -367,8 +370,6 @@ pub struct TransportCounters {
     pub staged_msgs: u64,
     /// Zero-copy loans that were revoked before the receiver copied them.
     pub revoked_msgs: u64,
-    /// Receive-side copy batches executed on the parallel copy pool.
-    pub parallel_copies: u64,
     /// Stale-epoch messages rejected by the membership fence instead of
     /// being delivered (swept at reconfiguration or caught at match time).
     pub fenced_msgs: u64,
@@ -380,7 +381,6 @@ pub(crate) struct TransportCells {
     pub zerocopy_msgs: AtomicU64,
     pub staged_msgs: AtomicU64,
     pub revoked_msgs: AtomicU64,
-    pub parallel_copies: AtomicU64,
     pub fenced_msgs: AtomicU64,
 }
 
@@ -390,207 +390,9 @@ impl TransportCells {
             zerocopy_msgs: self.zerocopy_msgs.load(Ordering::Relaxed),
             staged_msgs: self.staged_msgs.load(Ordering::Relaxed),
             revoked_msgs: self.revoked_msgs.load(Ordering::Relaxed),
-            parallel_copies: self.parallel_copies.load(Ordering::Relaxed),
             fenced_msgs: self.fenced_msgs.load(Ordering::Relaxed),
         }
     }
-}
-
-// ---------------------------------------------------------------------------
-// Parallel copy pool
-// ---------------------------------------------------------------------------
-
-/// Byte-run copy job: `(src_offset, dst_offset, len)` triples between two
-/// raw base pointers. The submitter blocks on the latch until every job of
-/// the batch finished, which keeps both borrows alive.
-struct CopyJob {
-    src: *const u8,
-    dst: *mut u8,
-    runs: Vec<(usize, usize, usize)>,
-    latch: Arc<Latch>,
-}
-
-// SAFETY: jobs carry raw pointers across threads by design. The submitter
-// (ZcBatch::run) guarantees src/dst outlive the batch by blocking on the
-// latch, and that concurrently executing jobs write disjoint dst ranges.
-unsafe impl Send for CopyJob {}
-
-/// Countdown latch: `add` before submitting, workers `count_down`, the
-/// submitter `wait`s for zero.
-#[derive(Default)]
-struct Latch {
-    left: Mutex<usize>,
-    cv: Condvar,
-}
-
-impl Latch {
-    fn add(&self, n: usize) {
-        *self.left.lock().unwrap_or_else(|e| e.into_inner()) += n;
-    }
-
-    fn count_down(&self) {
-        let mut left = self.left.lock().unwrap_or_else(|e| e.into_inner());
-        *left -= 1;
-        if *left == 0 {
-            self.cv.notify_all();
-        }
-    }
-
-    fn wait(&self) {
-        let mut left = self.left.lock().unwrap_or_else(|e| e.into_inner());
-        while *left != 0 {
-            left = self.cv.wait(left).unwrap_or_else(|e| e.into_inner());
-        }
-    }
-}
-
-/// Number of helper threads. The submitting rank copies its own shard too,
-/// so a batch uses at most `COPY_WORKERS + 1` cores.
-const COPY_WORKERS: usize = 3;
-
-/// Per-batch byte threshold below which fan-out is not worth the handoff.
-pub(crate) const PARALLEL_COPY_MIN_BYTES: usize = 4 << 20;
-
-/// A small process-global pool of copy workers, spawned on first use. The
-/// workers are detached and spend their idle life blocked on the job
-/// channel — they hold no references to any universe.
-pub(crate) struct CopyPool {
-    tx: Sender<CopyJob>,
-}
-
-fn worker_loop(rx: Arc<Mutex<Receiver<CopyJob>>>) {
-    loop {
-        let job = {
-            let rx = rx.lock().unwrap_or_else(|e| e.into_inner());
-            rx.recv()
-        };
-        let Ok(job) = job else { return };
-        run_job(&job);
-        job.latch.count_down();
-    }
-}
-
-fn run_job(job: &CopyJob) {
-    for &(s, d, n) in &job.runs {
-        // SAFETY: the submitter keeps src/dst alive until the latch opens
-        // and guarantees [d, d+n) ranges of concurrent jobs are disjoint;
-        // src and dst buffers are themselves disjoint (send vs recv buffer).
-        unsafe {
-            std::ptr::copy_nonoverlapping(job.src.add(s), job.dst.add(d), n);
-        }
-    }
-}
-
-impl CopyPool {
-    /// The process-global pool.
-    pub fn global() -> &'static CopyPool {
-        static POOL: OnceLock<CopyPool> = OnceLock::new();
-        POOL.get_or_init(|| {
-            let (tx, rx) = channel::<CopyJob>();
-            let rx = Arc::new(Mutex::new(rx));
-            for i in 0..COPY_WORKERS {
-                let rx = Arc::clone(&rx);
-                // Degraded mode, not a crash: with zero workers every shard
-                // runs inline on the submitting thread (run_batch falls back
-                // when the channel send fails), so copies stay correct —
-                // just without parallelism.
-                if let Err(e) = std::thread::Builder::new()
-                    .name(format!("minimpi-copy-{i}"))
-                    .spawn(move || worker_loop(rx))
-                {
-                    eprintln!("minimpi: could not spawn copy worker {i}: {e}; copying inline");
-                }
-            }
-            CopyPool { tx }
-        })
-    }
-
-    /// Execute `shards` of run-copies between `src` and `dst` bases, using
-    /// the workers for all but the first shard (which runs on the calling
-    /// thread). Blocks until every shard completed.
-    ///
-    /// Caller contract: `src`/`dst` stay valid for the duration of the call
-    /// and the dst ranges of distinct shards are pairwise disjoint.
-    pub fn run_batch(&self, src: *const u8, dst: *mut u8, shards: Vec<Vec<(usize, usize, usize)>>) {
-        let latch = Arc::new(Latch::default());
-        let mut local: Option<CopyJob> = None;
-        for (i, runs) in shards.into_iter().enumerate() {
-            if runs.is_empty() {
-                continue;
-            }
-            let job = CopyJob { src, dst, runs, latch: Arc::clone(&latch) };
-            if i == 0 {
-                local = Some(job);
-            } else {
-                latch.add(1);
-                // A send only fails if every worker died (impossible: they
-                // never exit while the channel is open) — run inline then.
-                if let Err(e) = self.tx.send(job) {
-                    run_job(&e.0);
-                }
-            }
-        }
-        if let Some(job) = local {
-            run_job(&job);
-        }
-        latch.wait();
-    }
-
-    /// Like [`CopyPool::run_batch`], but every shard goes to the workers and
-    /// the calling thread runs `local` instead of shard 0 — the shape the
-    /// checksum-during-pack kernel uses: the submitter folds the hash over
-    /// the source runs while the workers move the bytes. Blocks until both
-    /// `local` and every shard completed. Same caller contract as
-    /// `run_batch`.
-    pub fn run_batch_with(
-        &self,
-        src: *const u8,
-        dst: *mut u8,
-        shards: Vec<Vec<(usize, usize, usize)>>,
-        local: impl FnOnce(),
-    ) {
-        let latch = Arc::new(Latch::default());
-        for runs in shards {
-            if runs.is_empty() {
-                continue;
-            }
-            latch.add(1);
-            let job = CopyJob { src, dst, runs, latch: Arc::clone(&latch) };
-            if let Err(e) = self.tx.send(job) {
-                // Inline fallback (all workers dead): still count the shard
-                // down, or the latch below would never open.
-                run_job(&e.0);
-                e.0.latch.count_down();
-            }
-        }
-        local();
-        latch.wait();
-    }
-}
-
-/// Split run-copy triples into up to four byte-balanced contiguous shards
-/// for [`CopyPool::run_batch`]. Contiguous chunking preserves the per-shard
-/// ascending destination order (friendlier to the prefetcher than
-/// round-robin).
-pub(crate) fn shard_runs(pairs: Vec<(usize, usize, usize)>) -> Vec<Vec<(usize, usize, usize)>> {
-    const SHARDS: usize = 4;
-    let total: usize = pairs.iter().map(|&(_, _, n)| n).sum();
-    let target = total.div_ceil(SHARDS).max(1);
-    let mut shards: Vec<Vec<(usize, usize, usize)>> = Vec::with_capacity(SHARDS);
-    let mut cur = Vec::new();
-    let mut cur_bytes = 0usize;
-    for run in pairs {
-        cur_bytes += run.2;
-        cur.push(run);
-        if cur_bytes >= target && shards.len() + 1 < SHARDS {
-            shards.push(std::mem::take(&mut cur));
-            cur_bytes = 0;
-        }
-    }
-    if !cur.is_empty() {
-        shards.push(cur);
-    }
-    shards
 }
 
 /// Reads `DDR_NO_ZEROCOPY`: a truthy value disables the zero-copy fast path
@@ -698,19 +500,5 @@ mod tests {
             s.free_bytes
         );
         assert!(s.trimmed_bytes >= (32 << 20) as u64);
-    }
-
-    #[test]
-    fn copy_pool_runs_disjoint_shards() {
-        let src: Vec<u8> = (0..=255u8).cycle().take(1 << 16).collect();
-        let mut dst = vec![0u8; 1 << 16];
-        let shards: Vec<Vec<(usize, usize, usize)>> = (0..4)
-            .map(|i| {
-                let base = i * (1 << 14);
-                vec![(base, base, 1 << 14)]
-            })
-            .collect();
-        CopyPool::global().run_batch(src.as_ptr(), dst.as_mut_ptr(), shards);
-        assert_eq!(src, dst);
     }
 }
