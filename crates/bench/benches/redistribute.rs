@@ -28,7 +28,7 @@ struct Case {
     kind: DataKind,
     domain: Block,
     /// Owned chunks per rank; the plan's round count. 1 = the classic
-    /// single-round cases, > 1 = the multi-round pipelined family.
+    /// single-round cases, > 1 = the multi-round family.
     chunks: usize,
     /// Inner `reorganize` repetitions per timed sample (amortizes small cases).
     reps: u32,
@@ -76,13 +76,11 @@ fn cases() -> Vec<Case> {
         });
     }
     // Multi-round family: each rank owns four interleaved column slabs, so
-    // the plan has four rounds and the depth-2 pipeline has real overlap to
-    // win. These are the cases the `pipelined` / `round_sync` columns and
-    // the mailbox-wait-share acceptance gate are measured on.
+    // the plan runs four alltoallw rounds, one after another.
     for (name, n) in [
-        ("2d/pipelined_repartition/512", 512usize),
-        ("2d/pipelined_repartition/1024", 1024),
-        ("2d/pipelined_repartition/2048", 2048),
+        ("2d/multiround_repartition/512", 512usize),
+        ("2d/multiround_repartition/1024", 1024),
+        ("2d/multiround_repartition/2048", 2048),
     ] {
         v.push(Case {
             name,
@@ -135,9 +133,9 @@ fn layouts(case: &Case, r: usize) -> (Vec<Block>, Block) {
     }
 }
 
-/// Time `reps` reorganizations through the selected plane at the given
-/// pipeline depth; returns the slowest rank's per-reorganize time.
-fn inner_time(case: &Case, zerocopy: bool, checksum: bool, depth: usize) -> Duration {
+/// Time `reps` reorganizations through the selected plane; returns the
+/// slowest rank's per-reorganize time.
+fn inner_time(case: &Case, zerocopy: bool, checksum: bool) -> Duration {
     let case = *case;
     let times =
         Universe::builder().zerocopy(zerocopy).checksum(checksum).run(NPROCS, move |comm| {
@@ -154,13 +152,7 @@ fn inner_time(case: &Case, zerocopy: bool, checksum: bool, depth: usize) -> Dura
             let start = Instant::now();
             for _ in 0..case.reps {
                 let (report, _) = plan
-                    .reorganize_with_stats_depth(
-                        comm,
-                        &refs,
-                        &mut out,
-                        ddr_core::Strategy::Alltoallw,
-                        depth,
-                    )
+                    .reorganize_with_stats(comm, &refs, &mut out, ddr_core::Strategy::Alltoallw)
                     .unwrap();
                 assert!(report.is_complete());
             }
@@ -171,16 +163,14 @@ fn inner_time(case: &Case, zerocopy: bool, checksum: bool, depth: usize) -> Dura
     times.into_iter().max().unwrap()
 }
 
-/// One flow-governor probe of a case: governor high-water, credit-stall
-/// share, and the depth the executor settled on.
+/// One flow-governor probe of a case: governor high-water and credit-stall
+/// share.
 struct FlowProbe {
     /// Governor high-water mark across the run, bytes.
     peak_staging_bytes: usize,
     /// Sender park time as a share of total rank-time (stalled ms across
     /// all ranks / (wall-clock × NPROCS)).
     credit_stall_share: f64,
-    /// `RedistStats::effective_depth` of the last reorganize.
-    effective_depth: usize,
     /// Per-reorganize slowest-rank time, like [`inner_time`].
     elapsed: Duration,
 }
@@ -189,7 +179,7 @@ struct FlowProbe {
 /// governor nothing, so staged is the plane whose footprint the governor
 /// actually meters) under an optional memory budget, and read the flow
 /// ledger. `budget == 0` leaves the governor unmetered.
-fn flow_probe(case: &Case, budget: usize, depth: usize) -> FlowProbe {
+fn flow_probe(case: &Case, budget: usize) -> FlowProbe {
     let case = *case;
     let mut builder = Universe::builder().zerocopy(false).checksum(true);
     if budget > 0 {
@@ -207,31 +197,22 @@ fn flow_probe(case: &Case, budget: usize, depth: usize) -> FlowProbe {
         let mut out = vec![0f32; need.count() as usize];
         comm.barrier().unwrap();
         let start = Instant::now();
-        let mut eff = 0usize;
         for _ in 0..case.reps {
-            let (report, stats) = plan
-                .reorganize_with_stats_depth(
-                    comm,
-                    &refs,
-                    &mut out,
-                    ddr_core::Strategy::Alltoallw,
-                    depth,
-                )
+            let (report, _) = plan
+                .reorganize_with_stats(comm, &refs, &mut out, ddr_core::Strategy::Alltoallw)
                 .unwrap();
             assert!(report.is_complete());
-            eff = stats.effective_depth;
         }
         let elapsed = start.elapsed();
         black_box(&out);
         // The ledger is universe-global, so any rank's reading is the run's.
-        (elapsed, comm.mem_high_water(), comm.flow_counters().stalled_ms, eff)
+        (elapsed, comm.mem_high_water(), comm.flow_counters().stalled_ms)
     });
     let wall = out.iter().map(|s| s.0).max().unwrap();
-    let (_, peak, stalled_ms, eff) = out[0];
+    let (_, peak, stalled_ms) = out[0];
     FlowProbe {
         peak_staging_bytes: peak,
         credit_stall_share: stalled_ms as f64 / (wall.as_secs_f64() * 1e3 * NPROCS as f64).max(1.0),
-        effective_depth: eff,
         elapsed: wall / case.reps,
     }
 }
@@ -247,11 +228,6 @@ const PATHS: [(&str, bool, bool); 4] = [
     ("staged_nochecksum", false, false),
 ];
 
-/// The pipeline columns, measured on the multi-round cases only: the same
-/// zero-copy plane at depth 1 (round-synchronous reference) and depth 2
-/// (`DDR_PIPELINE_DEPTH` default — two rounds in flight).
-const DEPTH_PATHS: [(&str, usize); 2] = [("round_sync", 1), ("pipelined", 2)];
-
 /// Timed samples per column. Odd, so the median is a real sample.
 const SAMPLES: usize = 9;
 
@@ -265,18 +241,13 @@ fn bench_redistribute(c: &mut Criterion) {
         // to dominate the small cases: two columns executing *byte-identical
         // code* measured tens of percent apart. Interleaving puts every
         // column under the same drift, so their medians stay comparable.
-        let mut cols: Vec<(&'static str, bool, bool, usize)> =
-            PATHS.iter().map(|&(p, z, k)| (p, z, k, 1)).collect();
-        if case.chunks > 1 {
-            cols.extend(DEPTH_PATHS.iter().map(|&(p, d)| (p, true, true, d)));
-        }
-        let mut times: Vec<Vec<Duration>> = vec![Vec::with_capacity(samples); cols.len()];
+        let mut times: Vec<Vec<Duration>> = vec![Vec::with_capacity(samples); PATHS.len()];
         for _ in 0..samples {
-            for (col, &(_, zerocopy, checksum, depth)) in cols.iter().enumerate() {
-                times[col].push(inner_time(&case, zerocopy, checksum, depth));
+            for (col, &(_, zerocopy, checksum)) in PATHS.iter().enumerate() {
+                times[col].push(inner_time(&case, zerocopy, checksum));
             }
         }
-        for (col, &(path, ..)) in cols.iter().enumerate() {
+        for (col, &(path, ..)) in PATHS.iter().enumerate() {
             times[col].sort_unstable();
             let median = times[col][times[col].len() / 2];
             c.record(
@@ -297,9 +268,9 @@ type PhaseRow = (String, u64, u64, u64);
 /// report carries next to the raw timings — plus the number of messages the
 /// run actually loaned (zero means every message sat below
 /// `DDR_ZC_THRESHOLD` and staged instead).
-fn phase_breakdown(case: &Case, depth: usize) -> (Vec<PhaseRow>, u64, Duration) {
+fn phase_breakdown(case: &Case) -> (Vec<PhaseRow>, u64) {
     ddrtrace::capture::start();
-    let dur = inner_time(case, true, true, depth);
+    inner_time(case, true, true);
     let trace = ddrtrace::capture::stop();
     let loaned = trace
         .metrics
@@ -312,49 +283,7 @@ fn phase_breakdown(case: &Case, depth: usize) -> (Vec<PhaseRow>, u64, Duration) 
         .iter()
         .map(|r| (r.phase.clone(), r.count, r.total_ns, r.max_ns))
         .collect();
-    (rows, loaned, dur)
-}
-
-/// A phase's share of the traced run's wall-clock. Span totals accumulate
-/// across all ranks and inner reps, so the denominator is the per-reorganize
-/// slowest-rank time scaled back up by reps × ranks — comparable between
-/// depth-1 and depth-2 runs of the same case.
-fn phase_share(rows: &[PhaseRow], needle: &str, dur: Duration, reps: u32) -> f64 {
-    let wall = dur.as_nanos() as f64 * reps as f64 * NPROCS as f64;
-    let total: u64 = rows.iter().filter(|(p, ..)| p.contains(needle)).map(|(_, _, t, _)| *t).sum();
-    total as f64 / wall.max(1.0)
-}
-
-/// Exercise the `DDR_PIPELINE_DEPTH`-driven entry point on the multi-round
-/// cases until the pipeline auto-fallback gate (`DDR_PIPELINE_AUTO`) has
-/// enough samples per arm to decide, and report its verdict: `Some(true)` =
-/// it measured pipelining slower here and fell back to depth 1,
-/// `Some(false)` = pipelining won, `None` = still undecided.
-fn probe_pipeline_auto() -> Option<bool> {
-    for case in cases().into_iter().filter(|c| c.chunks > 1) {
-        Universe::builder().zerocopy(true).checksum(true).run(NPROCS, move |comm| {
-            let r = comm.rank();
-            let (owned, need) = layouts(&case, r);
-            let desc = Descriptor::for_type::<f32>(NPROCS, case.kind).unwrap();
-            let plan =
-                desc.setup_data_mapping_with(comm, &owned, need, ValidationPolicy::Skip).unwrap();
-            let data: Vec<Vec<f32>> =
-                owned.iter().map(|b| vec![r as f32 + 0.5; b.count() as usize]).collect();
-            let refs: Vec<&[f32]> = data.iter().map(|v| v.as_slice()).collect();
-            let mut out = vec![0f32; need.count() as usize];
-            for _ in 0..6 {
-                let (report, _) = plan
-                    .reorganize_with_stats(comm, &refs, &mut out, ddr_core::Strategy::Alltoallw)
-                    .unwrap();
-                assert!(report.is_complete());
-            }
-            black_box(&out);
-        });
-        if ddr_core::pipeline_fallback_engaged().is_some() {
-            break;
-        }
-    }
-    ddr_core::pipeline_fallback_engaged()
+    (rows, loaned)
 }
 
 /// Pair up `<case>/zerocopy` and `<case>/staged` results and write the
@@ -377,9 +306,9 @@ fn emit_json(c: &Criterion) {
             continue;
         };
         let pack_before = minimpi::pack_counters();
-        let (phases, loaned, _) = phase_breakdown(&case, 1);
+        let (phases, loaned) = phase_breakdown(&case);
         let pack_after = minimpi::pack_counters();
-        let flow = flow_probe(&case, 0, if case.chunks > 1 { 2 } else { 1 });
+        let flow = flow_probe(&case, 0);
         // Both measurements are reported as measured, always. When every
         // message of a case sits below the loan threshold (`loaned == 0`)
         // the two planes execute the identical staged code, so their ratio
@@ -402,15 +331,9 @@ fn emit_json(c: &Criterion) {
             flow,
         ));
     }
-    let auto_fallback = probe_pipeline_auto();
-    let auto_fallback_json = match auto_fallback {
-        Some(v) => v.to_string(),
-        None => "null".to_string(),
-    };
     let headline = "2d/in_transit_repartition/2048";
     let mut json = String::from("{\n  \"bench\": \"redistribute\",\n  \"element\": \"f32\",\n");
     json.push_str(&format!("  \"nprocs\": {NPROCS},\n"));
-    json.push_str(&format!("  \"pipeline_auto_fallback\": {auto_fallback_json},\n"));
     // Constrained-budget exhibit: re-run the deepest multi-round case on the
     // staged plane with the governor set to 25 % of its just-measured
     // unconstrained high-water — floored at 5/4 of one round's global
@@ -419,9 +342,9 @@ fn emit_json(c: &Criterion) {
     // converts the wedge into a structured MemoryPressure rather than
     // degrading). Degradation must be smooth: the run completes
     // (flow_probe asserts completeness), the measured peak stays inside
-    // the budget, the executor clamps its depth, and the slowdown is an
-    // honest measured ratio — not a crash, not a hang.
-    let constrained_case = "2d/pipelined_repartition/2048";
+    // the budget, and the slowdown is an honest measured ratio — not a
+    // crash, not a hang.
+    let constrained_case = "2d/multiround_repartition/2048";
     if let Some((case, .., flow)) = entries.iter().find(|(c, ..)| c.name == constrained_case) {
         let all: Vec<ddr_core::Layout> = (0..NPROCS)
             .map(|r| {
@@ -433,7 +356,7 @@ fn emit_json(c: &Criterion) {
         let round_global_max =
             gs.sent.iter().map(|r| r.iter().sum::<u64>()).max().unwrap_or(0) as usize;
         let budget = (flow.peak_staging_bytes / 4).max(round_global_max + round_global_max / 4);
-        let cons = flow_probe(case, budget, 2);
+        let cons = flow_probe(case, budget);
         json.push_str(&format!(
             "  \"constrained_budget\": {{\n    \"case\": \"{constrained_case}\",\n    \
              \"unconstrained_peak_staging_bytes\": {},\n    \
@@ -441,7 +364,6 @@ fn emit_json(c: &Criterion) {
              \"mem_budget\": {budget},\n    \
              \"peak_staging_bytes\": {},\n    \
              \"within_budget\": {},\n    \
-             \"effective_depth\": {},\n    \
              \"credit_stall_share\": {:.4},\n    \
              \"unconstrained_ns\": {},\n    \
              \"constrained_ns\": {},\n    \
@@ -449,7 +371,6 @@ fn emit_json(c: &Criterion) {
             flow.peak_staging_bytes,
             cons.peak_staging_bytes,
             cons.peak_staging_bytes <= budget,
-            cons.effective_depth,
             cons.credit_stall_share,
             flow.elapsed.as_nanos(),
             cons.elapsed.as_nanos(),
@@ -505,40 +426,6 @@ fn emit_json(c: &Criterion) {
             pack_after.vector_bytes - pack_before.vector_bytes,
             pack_after.scalar_bytes - pack_before.scalar_bytes,
         ));
-        // Multi-round cases additionally carry the pipelined-vs-round-sync
-        // comparison: depth-2 and depth-1 timings from the criterion columns
-        // and, from one traced sample per depth, the mailbox-wait share of
-        // wall-clock plus the pipeline's own overlap/round-in-flight
-        // evidence. All numbers are reported exactly as measured.
-        if case.chunks > 1 {
-            if let (Some(pl), Some(rs)) =
-                (lookup(case.name, "pipelined"), lookup(case.name, "round_sync"))
-            {
-                let (rows1, _, dur1) = phase_breakdown(case, 1);
-                let (rows2, _, dur2) = phase_breakdown(case, 2);
-                let overlap_ns: u64 = rows2
-                    .iter()
-                    .filter(|(p, ..)| p.contains("overlap"))
-                    .map(|(_, _, t, _)| *t)
-                    .sum();
-                json.push_str(&format!(
-                    "     \"pipeline\": {{\"round_sync_ns\": {}, \"pipelined_ns\": {}, \
-                     \"pipeline_speedup\": {:.3}, \
-                     \"auto_fallback\": {auto_fallback_json}, \
-                     \"mailbox_wait_share_round_sync\": {:.4}, \
-                     \"mailbox_wait_share_pipelined\": {:.4}, \
-                     \"overlap_ns\": {overlap_ns}, \
-                     \"trace_round_sync_ns\": {}, \"trace_pipelined_ns\": {}}},\n",
-                    rs.as_nanos(),
-                    pl.as_nanos(),
-                    rs.as_secs_f64() / pl.as_secs_f64().max(1e-12),
-                    phase_share(&rows1, "mailbox_wait", dur1, case.reps),
-                    phase_share(&rows2, "mailbox_wait", dur2, case.reps),
-                    dur1.as_nanos(),
-                    dur2.as_nanos(),
-                ));
-            }
-        }
         json.push_str("     \"phases\": [\n");
         for (j, (phase, count, total, max)) in phases.iter().enumerate() {
             json.push_str(&format!(

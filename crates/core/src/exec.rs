@@ -4,197 +4,15 @@ use crate::error::{DdrError, Result};
 use crate::plan::Plan;
 use crate::recover::{LossKind, PartialCompletion};
 use crate::stats::RedistStats;
-use minimpi::{bytes_of, bytes_of_mut, AlltoallwRequest, Comm, Datatype, Pod};
-use std::collections::VecDeque;
-use std::time::{Duration, Instant};
+use minimpi::{bytes_of, bytes_of_mut, Comm, Datatype, Pod};
 
 /// Marker trait for element types DDR can move: any plain-old-data type.
 pub use minimpi::Pod as Element;
 
-/// Default bound on in-flight redistribution rounds when `DDR_PIPELINE_DEPTH`
-/// is unset: round N+1 is packed and posted while round N drains.
-pub const DEFAULT_PIPELINE_DEPTH: usize = 2;
-
-/// The pipeline depth redistribution runs at: `DDR_PIPELINE_DEPTH` when set
-/// (clamped to at least 1 — depth 1 *is* the round-synchronous loop),
-/// otherwise [`DEFAULT_PIPELINE_DEPTH`]. All ranks read the same
-/// environment, so the depth is uniform across the communicator; programs
-/// that need a per-call depth use [`Plan::reorganize_with_stats_depth`].
-pub fn pipeline_depth() -> usize {
-    minimpi::env::u64_var("DDR_PIPELINE_DEPTH")
-        .map(|v| (v.max(1)) as usize)
-        .unwrap_or(DEFAULT_PIPELINE_DEPTH)
-}
-
-/// Largest sum over any `window`-length run of consecutive rounds — the
-/// analytic peak of staged bytes a pipeline of that depth keeps in flight.
-fn window_peak(per_round: &[u64], window: usize) -> u64 {
-    let window = window.max(1).min(per_round.len().max(1));
-    let mut sum: u64 = per_round.iter().take(window).sum();
-    let mut peak = sum;
-    for i in window..per_round.len() {
-        sum = sum + per_round[i] - per_round[i - window];
-        peak = peak.max(sum);
-    }
-    peak
-}
-
-/// What the pipeline auto-fallback gate (`DDR_PIPELINE_AUTO`, default on)
-/// has concluded so far in this process: `None` while still probing (or the
-/// gate never activated), `Some(true)` once it measured pipelined
-/// redistribution slower than round-synchronous and fell back to depth 1,
-/// `Some(false)` once it measured pipelining a win and locked it in.
+/// Always `None`: rounds run one at a time, so no pipeline gate exists to
+/// engage. Constant; kept for the benchmark's readers.
 pub fn pipeline_fallback_engaged() -> Option<bool> {
-    pipegate::status()
-}
-
-/// Adaptive pipelined-vs-round-synchronous gate.
-///
-/// The pipelined drain is a heuristic win: it hides mailbox latency but
-/// costs pool-buffer residency and poll wakeups, and on some shapes (many
-/// small rounds on an unloaded machine) it measures *slower* than the plain
-/// round-synchronous loop. Rather than ship a knob the user must tune, the
-/// env-depth path ([`Plan::reorganize_with_stats`]) A/B-probes its first
-/// calls: ranks alternate between the configured depth and depth 1 (a
-/// thread-local call counter keeps ranks in lockstep — every rank makes the
-/// same number of collective calls, and universe ranks are fresh threads),
-/// accumulating wall-clock-per-byte for each arm in process-global state.
-/// After [`pipegate::MIN_SAMPLES`] calls per arm it decides once, for the
-/// process: if pipelining is slower by more than a noise margin, fall back
-/// to depth 1 with a single warning on stderr, a `pipeline_fallback` trace
-/// instant, and a `redist.pipeline_fallback` metric.
-///
-/// Mixed depths across ranks (transient, while ranks observe the decision
-/// at different call indices) cannot deadlock: every rank posts rounds in
-/// the same ascending order and sends are eager, so a rank waiting round
-/// `r` only needs every peer to have *posted* round `r`, which inductively
-/// holds at any depth mix.
-mod pipegate {
-    use std::cell::Cell;
-    use std::sync::Mutex;
-    use std::time::Duration;
-
-    /// Calls per arm before deciding.
-    pub(super) const MIN_SAMPLES: u32 = 8;
-    /// Pipelined must be worse by more than this margin (percent, ns/byte)
-    /// to trigger the fallback — breaking even keeps the configured depth.
-    const MARGIN_PCT: u128 = 5;
-
-    /// Which arm a probing call ran under.
-    #[derive(Clone, Copy)]
-    pub(super) enum Arm {
-        Pipelined,
-        Sync,
-    }
-
-    struct GateState {
-        pipe_ns: u128,
-        pipe_bytes: u128,
-        pipe_samples: u32,
-        sync_ns: u128,
-        sync_bytes: u128,
-        sync_samples: u32,
-        /// `Some(true)`: fell back to depth 1; `Some(false)`: pipelining won.
-        decided: Option<bool>,
-    }
-
-    static GATE: Mutex<GateState> = Mutex::new(GateState {
-        pipe_ns: 0,
-        pipe_bytes: 0,
-        pipe_samples: 0,
-        sync_ns: 0,
-        sync_bytes: 0,
-        sync_samples: 0,
-        decided: None,
-    });
-
-    thread_local! {
-        /// Per-rank collective-call counter; ranks alternate arms in
-        /// lockstep because every rank makes the same number of calls.
-        static CALLS: Cell<u64> = const { Cell::new(0) };
-    }
-
-    pub(super) fn status() -> Option<bool> {
-        GATE.lock().unwrap_or_else(|e| e.into_inner()).decided
-    }
-
-    /// Pick the depth for this call: the settled depth once decided,
-    /// otherwise alternate arms and return which one to attribute the
-    /// sample to.
-    pub(super) fn arm(env_depth: usize) -> (usize, Option<Arm>) {
-        match status() {
-            Some(true) => (1, None),
-            Some(false) => (env_depth, None),
-            None => {
-                let n = CALLS.with(|c| {
-                    let n = c.get();
-                    c.set(n + 1);
-                    n
-                });
-                if n % 2 == 0 {
-                    (env_depth, Some(Arm::Pipelined))
-                } else {
-                    (1, Some(Arm::Sync))
-                }
-            }
-        }
-    }
-
-    /// Fold one probing call's measurement in; decide once both arms have
-    /// enough samples.
-    pub(super) fn record(arm: Arm, elapsed: Duration, bytes: u64, env_depth: usize) {
-        if bytes == 0 {
-            return;
-        }
-        let mut g = GATE.lock().unwrap_or_else(|e| e.into_inner());
-        if g.decided.is_some() {
-            return;
-        }
-        let ns = elapsed.as_nanos();
-        match arm {
-            Arm::Pipelined => {
-                g.pipe_ns += ns;
-                g.pipe_bytes += bytes as u128;
-                g.pipe_samples += 1;
-            }
-            Arm::Sync => {
-                g.sync_ns += ns;
-                g.sync_bytes += bytes as u128;
-                g.sync_samples += 1;
-            }
-        }
-        if g.pipe_samples < MIN_SAMPLES || g.sync_samples < MIN_SAMPLES {
-            return;
-        }
-        let fallback = fallback_needed(g.pipe_ns, g.pipe_bytes, g.sync_ns, g.sync_bytes);
-        g.decided = Some(fallback);
-        if fallback {
-            let pipe = g.pipe_ns as f64 / g.pipe_bytes as f64;
-            let sync = g.sync_ns as f64 / g.sync_bytes as f64;
-            let n = g.pipe_samples + g.sync_samples;
-            eprintln!(
-                "ddr: pipelined redistribution (depth {env_depth}) measured slower than \
-                 round-synchronous ({pipe:.3} vs {sync:.3} ns/byte over {n} calls); \
-                 falling back to depth 1. Set DDR_PIPELINE_DEPTH=1 to silence this, \
-                 or DDR_PIPELINE_AUTO=0 to pin the configured depth."
-            );
-            ddrtrace::instant_arg("redist", "pipeline_fallback", "depth", env_depth as i64);
-            ddrtrace::metrics::set("redist", "pipeline_fallback", 1);
-        }
-    }
-
-    /// The decision rule, pure for testing: fall back when the pipelined
-    /// arm's ns-per-byte exceeds the round-synchronous arm's by more than
-    /// the noise margin. Cross-multiplied in `u128` — no division, no
-    /// floats, no overflow for any realistic totals.
-    pub(super) fn fallback_needed(
-        pipe_ns: u128,
-        pipe_bytes: u128,
-        sync_ns: u128,
-        sync_bytes: u128,
-    ) -> bool {
-        pipe_ns * sync_bytes * 100 > sync_ns * pipe_bytes * (100 + MARGIN_PCT)
-    }
+    None
 }
 
 /// How the per-round exchange is carried out on the wire.
@@ -331,47 +149,6 @@ impl Plan {
         need: &mut [T],
         strategy: Strategy,
     ) -> Result<(PartialCompletion, RedistStats)> {
-        let depth = pipeline_depth();
-        // The auto-fallback gate ([`pipegate`]) only arms on the env-depth
-        // path, for plans that actually pipeline (multi-round alltoallw at
-        // depth > 1), and only when timings are trustworthy: fault
-        // injection, checking, and schedule seeds both distort wall clock
-        // and key behavior to op counts that must stay deterministic.
-        let gated = depth > 1
-            && self.rounds.len() > 1
-            && matches!(self.resolve_strategy(strategy), Strategy::Alltoallw)
-            && !comm.timing_perturbed()
-            && minimpi::env::flag("DDR_PIPELINE_AUTO").unwrap_or(true);
-        if !gated {
-            return self.reorganize_with_stats_depth(comm, owned, need, strategy, depth);
-        }
-        let (use_depth, arm) = pipegate::arm(depth);
-        let start = Instant::now();
-        let out = self.reorganize_with_stats_depth(comm, owned, need, strategy, use_depth);
-        if let (Ok((_, stats)), Some(arm)) = (&out, arm) {
-            pipegate::record(arm, start.elapsed(), stats.sent_bytes + stats.local_bytes, depth);
-        }
-        out
-    }
-
-    /// [`Plan::reorganize_with_stats`] with an explicit pipeline depth
-    /// instead of the `DDR_PIPELINE_DEPTH` environment knob: up to `depth`
-    /// alltoallw rounds are posted before the oldest is waited on, so round
-    /// N+1's sends land in peers' mailboxes while round N drains. Depth 1
-    /// reproduces the round-synchronous loop exactly. Ranks should normally
-    /// agree on the depth, but disagreement is safe: every rank posts
-    /// rounds in the same ascending order and sends are eager, so depth
-    /// only schedules local waits (the auto-fallback gate relies on this).
-    /// Only [`Strategy::Alltoallw`] pipelines — the point-to-point strategy
-    /// stays round-synchronous.
-    pub fn reorganize_with_stats_depth<T: Element>(
-        &self,
-        comm: &Comm,
-        owned: &[&[T]],
-        need: &mut [T],
-        strategy: Strategy,
-        depth: usize,
-    ) -> Result<(PartialCompletion, RedistStats)> {
         if comm.size() != self.nprocs || comm.rank() != self.rank {
             return Err(DdrError::ProcessCountMismatch {
                 descriptor: self.nprocs,
@@ -380,83 +157,19 @@ impl Plan {
         }
         self.check_buffers(owned, need)?;
         let _reorg = ddrtrace::span_arg("redist", "reorganize", "rounds", self.rounds.len() as i64);
-        let resolved = self.resolve_strategy(strategy);
-        let eff = match resolved {
-            Strategy::Alltoallw => self.effective_alltoallw_depth(comm, depth),
-            _ => 1,
-        };
-        let failures = match resolved {
-            Strategy::Alltoallw => self.reorganize_alltoallw(comm, owned, need, eff)?,
+        let failures = match self.resolve_strategy(strategy) {
+            Strategy::Alltoallw => self.reorganize_alltoallw(comm, owned, need)?,
             Strategy::PointToPoint => self.reorganize_p2p(comm, owned, need)?,
-            Strategy::Auto => unreachable!("resolved above"),
+            Strategy::Auto => unreachable!("resolve_strategy never returns Auto"),
         };
-        let mut stats = RedistStats::from_plan(self, &failures);
-        stats.effective_depth = eff;
-        stats.throttled_rounds = self.rounds.len().min(depth.max(1)) - self.rounds.len().min(eff);
+        let stats = RedistStats::from_plan(self, &failures);
         if ddrtrace::enabled() {
             ddrtrace::metrics::add("redist", "sent_bytes", stats.sent_bytes);
             ddrtrace::metrics::add("redist", "local_bytes", stats.local_bytes);
             ddrtrace::metrics::add("redist", "messages_sent", stats.messages_sent);
             ddrtrace::metrics::add("redist", "failed_recvs", stats.failed_recvs);
-            ddrtrace::metrics::add("redist", "throttled_rounds", stats.throttled_rounds as u64);
         }
         Ok((PartialCompletion::from_failures(self, &failures), stats))
-    }
-
-    /// Clamp a requested alltoallw pipeline depth to what the
-    /// communicator's flow-control windows and memory governor can absorb
-    /// without parking every round on the credit gate:
-    ///
-    /// 1. a depth-`d` window keeps up to `d` envelopes in flight toward a
-    ///    single peer, so `d` never exceeds the per-pair message window;
-    /// 2. those envelopes stage up to `d × max_single_send` bytes at one
-    ///    receiver, so `d` is held under the per-pair byte window;
-    /// 3. the analytic peak of in-flight staged bytes — the worst
-    ///    depth-window of this rank's per-round send totals, times every
-    ///    rank staging concurrently — must fit the governor's *remaining*
-    ///    budget, otherwise the depth shrinks (to 1 in the limit, which
-    ///    reproduces the round-synchronous loop).
-    ///
-    /// Ranks can resolve different depths (their remaining budgets differ);
-    /// that is safe for the same reason explicit depth disagreement is —
-    /// rounds post in ascending order everywhere and depth only schedules
-    /// local waits. Flow control can only *shrink* the window, never grow
-    /// it past the request.
-    fn effective_alltoallw_depth(&self, comm: &Comm, requested: usize) -> usize {
-        let mut eff = requested.max(1);
-        if eff == 1 {
-            return 1;
-        }
-        let cfg = comm.flow_config();
-        eff = eff.min(cfg.msg_credits.clamp(1, usize::MAX as u64) as usize);
-        let max_peer_round: u64 = self
-            .rounds
-            .iter()
-            .flat_map(|round| round.sends.iter())
-            .filter(|t| t.peer != self.rank)
-            .map(|t| t.bytes())
-            .max()
-            .unwrap_or(0);
-        if let Some(per_window) = (cfg.byte_credits as u64).checked_div(max_peer_round) {
-            eff = eff.min(per_window.max(1) as usize);
-        }
-        let budget = comm.mem_budget();
-        if budget > 0 && eff > 1 {
-            let remaining = budget.saturating_sub(comm.mem_usage()) as u64;
-            let per_round: Vec<u64> = self
-                .rounds
-                .iter()
-                .map(|round| {
-                    round.sends.iter().filter(|t| t.peer != self.rank).map(|t| t.bytes()).sum()
-                })
-                .collect();
-            while eff > 1
-                && window_peak(&per_round, eff).saturating_mul(self.nprocs as u64) > remaining
-            {
-                eff -= 1;
-            }
-        }
-        eff
     }
 
     /// The [`RedistStats`] a fully successful execution of this plan will
@@ -490,129 +203,32 @@ impl Plan {
     /// classifies each loss so retransmit exhaustion (the peer is alive but
     /// its data never verified) is reported distinctly from death.
     ///
-    /// Pipelined: up to `depth` rounds are posted (their sends buffered or
-    /// loaned eagerly) before the oldest round's receives are waited on.
-    /// Receive selections are disjoint across rounds and peers by plan
-    /// construction, so in-flight rounds may all deliver into `need`; every
-    /// rank posts rounds in the same ascending order, keeping the collective
-    /// sequence aligned whatever the interleaving. The per-round `overlap`
-    /// span measures post-to-wait time — the window a round's data was in
-    /// flight while this rank worked on other rounds.
+    /// One blocking `alltoallw` per round, in round order: a round's sends
+    /// and receives finish before the next round posts.
     fn reorganize_alltoallw<T: Pod>(
         &self,
         comm: &Comm,
         owned: &[&[T]],
         need: &mut [T],
-        depth: usize,
     ) -> Result<Vec<(usize, usize, LossKind)>> {
         let n = self.nprocs;
-        let depth = depth.max(1);
         let need_bytes = bytes_of_mut(need);
-        // Requests borrow their round's send buffer and type tables, so all
-        // of them must outlive the in-flight window.
-        let send_bufs: Vec<&[u8]> = (0..self.rounds.len())
-            .map(|r| owned.get(r).map(|b| bytes_of(b)).unwrap_or(&[]))
-            .collect();
-        let types: Vec<(Vec<Datatype>, Vec<Datatype>)> = self
-            .rounds
-            .iter()
-            .map(|round| {
-                let mut send_types = vec![Datatype::Empty; n];
-                let mut recv_types = vec![Datatype::Empty; n];
-                for t in &round.sends {
-                    send_types[t.peer] = Datatype::Subarray(t.subarray);
-                }
-                for t in &round.recvs {
-                    recv_types[t.peer] = Datatype::Subarray(t.subarray);
-                }
-                (send_types, recv_types)
-            })
-            .collect();
-
-        /// How long the opportunistic drain polls before handing the oldest
-        /// round to the blocking `wait` (which restores the watchdog timeout
-        /// and deadlock-detector registration).
-        const POLL_WINDOW: Duration = Duration::from_millis(50);
-        /// Sleep between progress polls — long enough to stay off the
-        /// mailbox locks, short against any message latency worth hiding.
-        const POLL_SLEEP: Duration = Duration::from_micros(50);
-
-        /// Drain the oldest in-flight round. An error drops the younger
-        /// requests still queued, which revokes their loans and settles
-        /// their peers.
-        ///
-        /// While the oldest round is incomplete, every younger in-flight
-        /// round gets a nonblocking progress poll too, so already-arrived
-        /// envelopes are verified and unpacked *inside* the oldest round's
-        /// wait instead of queueing behind it. (This was the measured
-        /// pipelining regression: depth > 1 posted rounds eagerly but then
-        /// blocked on the oldest, deferring every younger round's unpack —
-        /// the dominant per-round cost — to the tail of the exchange, where
-        /// it serialized.) Under fault injection, runtime checking, or
-        /// seeded schedule exploration the blocking path is kept: those
-        /// modes key behavior to per-rank op counts, which a timing-driven
-        /// poll loop would make nondeterministic.
-        fn drain_one<'a>(
-            comm: &Comm,
-            inflight: &mut VecDeque<(usize, AlltoallwRequest<'a>, ddrtrace::SpanGuard)>,
-            need_bytes: &mut [u8],
-            failures: &mut Vec<(usize, usize, LossKind)>,
-        ) -> Result<()> {
-            let Some((r, mut req, overlap)) = inflight.pop_front() else { return Ok(()) };
-            drop(overlap); // the round's overlap window closes as its wait begins
-            let _round = ddrtrace::span_arg("redist", "round", "round", r as i64);
-            let mut note = |report: minimpi::ExchangeReport| {
-                failures.extend(
-                    report.failed.into_iter().map(|(peer, e)| (r, peer, LossKind::from_error(&e))),
-                );
-            };
-            if comm.timing_perturbed() || inflight.is_empty() {
-                note(req.wait(need_bytes)?);
-                return Ok(());
-            }
-            let deadline = Instant::now() + POLL_WINDOW;
-            loop {
-                if req.test(need_bytes)? {
-                    note(req.report());
-                    return Ok(());
-                }
-                for (_, young, _) in inflight.iter_mut() {
-                    // A hard error aborts exactly like the oldest round's
-                    // would: propagate, dropping the rest of the queue.
-                    // Salvage-mode losses stay recorded inside the request
-                    // and surface when it is popped, preserving round order.
-                    young.test(need_bytes)?;
-                }
-                if Instant::now() >= deadline {
-                    note(req.wait(need_bytes)?);
-                    return Ok(());
-                }
-                std::thread::sleep(POLL_SLEEP);
-            }
-        }
-
-        // Overlapping rounds write concurrently into `need_bytes`; sound only
-        // while no two receives (in-round or cross-round) target the same
-        // cell. Mapping construction guarantees this; cheap insurance here.
-        debug_assert!(self.recv_regions_disjoint());
-
         let mut failures = Vec::new();
-        let mut inflight: VecDeque<(usize, AlltoallwRequest<'_>, ddrtrace::SpanGuard)> =
-            VecDeque::with_capacity(depth);
-        for r in 0..self.rounds.len() {
-            while inflight.len() >= depth {
-                drain_one(comm, &mut inflight, &mut *need_bytes, &mut failures)?;
+        for (r, round) in self.rounds.iter().enumerate() {
+            let _round = ddrtrace::span_arg("redist", "round", "round", r as i64);
+            let send_buf: &[u8] = owned.get(r).map(|b| bytes_of(b)).unwrap_or(&[]);
+            let mut send_types = vec![Datatype::Empty; n];
+            let mut recv_types = vec![Datatype::Empty; n];
+            for t in &round.sends {
+                send_types[t.peer] = Datatype::Subarray(t.subarray);
             }
-            let req = comm.ialltoallw_salvage(send_bufs[r], &types[r].0, &types[r].1)?;
-            if !inflight.is_empty() {
-                ddrtrace::metrics::add("redist", "overlapped_posts", 1);
+            for t in &round.recvs {
+                recv_types[t.peer] = Datatype::Subarray(t.subarray);
             }
-            ddrtrace::counter!("redist_rounds_in_flight", (inflight.len() + 1) as i64);
-            let overlap = ddrtrace::span_arg("redist", "overlap", "round", r as i64);
-            inflight.push_back((r, req, overlap));
-        }
-        while !inflight.is_empty() {
-            drain_one(comm, &mut inflight, &mut *need_bytes, &mut failures)?;
+            let report = comm.alltoallw_salvage(send_buf, &send_types, need_bytes, &recv_types)?;
+            failures.extend(
+                report.failed.into_iter().map(|(peer, e)| (r, peer, LossKind::from_error(&e))),
+            );
         }
         Ok(failures)
     }
@@ -652,31 +268,5 @@ impl Plan {
             }
         }
         Ok(failures)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn pipegate_fallback_rule() {
-        // More than 5% slower per byte: fall back.
-        assert!(pipegate::fallback_needed(110, 100, 100, 100));
-        // Equal, within margin, or faster: keep the configured depth.
-        assert!(!pipegate::fallback_needed(100, 100, 100, 100));
-        assert!(!pipegate::fallback_needed(104, 100, 100, 100));
-        assert!(!pipegate::fallback_needed(90, 100, 100, 100));
-        // Per-byte normalization: same wall clock over twice the bytes is a
-        // 2x win for the pipelined arm, not a tie.
-        assert!(!pipegate::fallback_needed(100, 200, 100, 100));
-        assert!(pipegate::fallback_needed(100, 100, 100, 220));
-    }
-
-    #[test]
-    fn pipegate_needs_both_arms() {
-        // The rule never fires off one-sided totals: zero bytes on either
-        // side cannot satisfy the strict inequality in either direction.
-        assert!(!pipegate::fallback_needed(100, 100, 0, 0));
     }
 }

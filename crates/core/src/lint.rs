@@ -83,9 +83,10 @@ pub enum LintCode {
     /// governor meters — exceeds the configured `DDR_MEM_BUDGET`. Error
     /// severity when a single transfer alone is larger than the whole
     /// budget (the runtime fails that deposit with `MemoryPressure`);
-    /// warning severity when only the pipelined window overflows (the
-    /// executor degrades — shrinking depth toward 1 — but throughput
-    /// suffers).
+    /// warning severity when only one round's global total overflows
+    /// (senders park on the governor gate until receivers drain: the round
+    /// runs slower, or fails with `MemoryPressure` if every sender parks
+    /// before any receiver drains).
     MemBudgetExceeded,
 }
 
@@ -547,27 +548,28 @@ pub fn lint_staging(plans: &[Plan], bound_bytes: u64) -> Vec<LintDiagnostic> {
     diags
 }
 
-/// Predict whether executing `plans` at pipeline `depth` fits a
-/// `budget_bytes` memory-governor budget (`DDR_MEM_BUDGET`), extending
-/// [`lint_staging`]'s per-round model across the pipelined window.
+/// Predict whether executing `plans` fits a `budget_bytes` memory-governor
+/// budget (`DDR_MEM_BUDGET`), extending [`lint_staging`]'s per-rank model to
+/// the whole communicator.
 ///
 /// The model matches the runtime's governor accounting: every cross-rank
 /// staged send materializes once — in the receiver's mailbox until popped —
-/// so the global in-flight footprint of a depth-`d` pipeline peaks at the
-/// worst `d`-round window of summed cross-rank send bytes (self-sends are
-/// local copies and are never metered). Two classes of finding:
+/// and rounds run one at a time, so the global footprint peaks at the worst
+/// round's summed cross-rank send bytes (self-sends are local copies and are
+/// never metered). Two classes of finding:
 ///
 /// * **error** — a single staged transfer larger than the entire budget:
 ///   the runtime can never admit it and fails that deposit with
-///   `MemoryPressure` whatever the depth;
-/// * **warning** — the windowed peak exceeds the budget: the executor
-///   degrades (senders park on the governor gate, the effective depth
-///   shrinks toward 1) rather than failing, but throughput suffers and the
-///   degradation is worth knowing about before the job runs.
+///   `MemoryPressure`;
+/// * **warning** — one round's global staged bytes exceed the budget:
+///   senders park on the governor gate until receivers drain. The round
+///   runs slower, or, if every sender of the round parks before any
+///   receiver drains, fails with `MemoryPressure` after a watchdog period —
+///   worth knowing about before the job runs.
 ///
 /// A `budget_bytes` of 0 means unbudgeted (the governor only meters); no
 /// diagnostics are produced.
-pub fn lint_memory(plans: &[Plan], depth: usize, budget_bytes: u64) -> Vec<LintDiagnostic> {
+pub fn lint_memory(plans: &[Plan], budget_bytes: u64) -> Vec<LintDiagnostic> {
     let mut diags = Vec::new();
     if budget_bytes == 0 {
         return diags;
@@ -596,11 +598,8 @@ pub fn lint_memory(plans: &[Plan], depth: usize, budget_bytes: u64) -> Vec<LintD
         }
     }
 
-    // Global cross-rank staged bytes per round, then the worst depth-window.
+    // Global cross-rank staged bytes per round, then the worst round.
     let rounds = plans.iter().map(|p| p.rounds.len()).max().unwrap_or(0);
-    if rounds == 0 {
-        return diags;
-    }
     let mut per_round = vec![0u64; rounds];
     for p in plans {
         for (r, round) in p.rounds.iter().enumerate() {
@@ -608,29 +607,21 @@ pub fn lint_memory(plans: &[Plan], depth: usize, budget_bytes: u64) -> Vec<LintD
                 round.sends.iter().filter(|t| t.peer != p.rank).map(|t| t.bytes()).sum::<u64>();
         }
     }
-    let d = depth.max(1).min(rounds);
-    let mut sum: u64 = per_round.iter().take(d).sum();
-    let (mut peak, mut peak_start) = (sum, 0usize);
-    for i in d..rounds {
-        sum = sum + per_round[i] - per_round[i - d];
-        if sum > peak {
-            (peak, peak_start) = (sum, i + 1 - d);
-        }
-    }
-    if peak > budget_bytes {
+    let worst = (0..rounds).max_by_key(|&r| (per_round[r], std::cmp::Reverse(r)));
+    if let Some(r) = worst.filter(|&r| per_round[r] > budget_bytes) {
         diags.push(
             LintDiagnostic::warning(
                 LintCode::MemBudgetExceeded,
                 format!(
-                    "a depth-{d} pipeline keeps up to {peak} staged bytes in flight \
-                     (rounds {peak_start}..{}), exceeding the {budget_bytes}-byte \
-                     memory budget",
-                    peak_start + d
+                    "one round's global staged bytes exceed the budget: round {r} stages {} \
+                     bytes across all ranks against a {budget_bytes}-byte memory budget",
+                    per_round[r]
                 ),
-                "the executor will degrade (shrink the effective pipeline depth toward 1); \
-                 lower the requested depth, shrink the chunks, or raise DDR_MEM_BUDGET",
+                "senders will park on the governor gate until receivers drain, and the \
+                 round fails with MemoryPressure if all of them park at once; shrink the \
+                 chunks or raise DDR_MEM_BUDGET",
             )
-            .at_round(peak_start),
+            .at_round(r),
         );
     }
     diags
@@ -821,7 +812,7 @@ mod tests {
     }
 
     /// Cross-rank staged send bytes of round `r` across all plans — the
-    /// quantity `lint_memory` windows over.
+    /// quantity `lint_memory` compares against the budget.
     fn round_total(plans: &[Plan], r: usize) -> u64 {
         plans
             .iter()
@@ -835,25 +826,27 @@ mod tests {
     #[test]
     fn memory_within_budget_is_clean_and_unbudgeted_is_silent() {
         let plans = e1_plans();
-        let total: u64 = (0..2).map(|r| round_total(&plans, r)).sum();
-        assert!(lint_memory(&plans, 2, total + 1).is_empty());
-        assert!(lint_memory(&plans, 2, 0).is_empty(), "budget 0 means unbudgeted");
+        let worst = (0..2).map(|r| round_total(&plans, r)).max().unwrap();
+        assert!(lint_memory(&plans, worst).is_empty());
+        assert!(lint_memory(&plans, 0).is_empty(), "budget 0 means unbudgeted");
     }
 
     #[test]
-    fn pipelined_window_over_budget_warns_but_depth_one_fits() {
+    fn round_over_budget_warns_but_each_round_alone_fits() {
         let plans = e1_plans();
         let r0 = round_total(&plans, 0);
         let r1 = round_total(&plans, 1);
-        // Budget admits either round alone but not both in flight at once.
-        let budget = r0.max(r1) + 1;
-        assert!(budget <= r0 + r1, "e1 rounds must both move data");
-        assert!(lint_memory(&plans, 1, budget).is_empty());
-        let diags = lint_memory(&plans, 2, budget);
-        assert_eq!(diags.len(), 1, "got {diags:?}");
-        assert_eq!(diags[0].code, LintCode::MemBudgetExceeded);
-        assert!(!has_errors(&diags), "window overflow degrades, it does not abort");
-        assert!(diags[0].message.contains("depth-2"), "got: {}", diags[0].message);
+        assert!(r0 > 0 && r1 > 0, "e1 rounds must both move data");
+        // Rounds run one at a time, so a budget admitting each round alone
+        // is clean even though the two rounds together exceed it.
+        assert!(lint_memory(&plans, r0.max(r1)).is_empty());
+        // One byte short of the worst round warns rather than errors: the
+        // round may still complete.
+        let diags = lint_memory(&plans, r0.max(r1) - 1);
+        let warns: Vec<_> = diags.iter().filter(|d| d.severity == Severity::Warning).collect();
+        assert_eq!(warns.len(), 1, "got {diags:?}");
+        assert_eq!(warns[0].code, LintCode::MemBudgetExceeded);
+        assert!(warns[0].message.contains("one round's global staged bytes"), "got: {diags:?}");
     }
 
     #[test]
@@ -867,7 +860,7 @@ mod tests {
             .map(|t| t.bytes())
             .max()
             .unwrap();
-        let diags = lint_memory(&plans, 1, biggest - 1);
+        let diags = lint_memory(&plans, biggest - 1);
         assert!(has_errors(&diags), "an inadmissible transfer must be an error: {diags:?}");
         assert!(diags.iter().any(|d| d.code == LintCode::MemBudgetExceeded && d.rank.is_some()));
     }

@@ -127,30 +127,6 @@ impl Plan {
         self.global_max_neighbors
     }
 
-    /// True when every pair of receive regions — across *all* rounds — is
-    /// disjoint in global coordinates.
-    ///
-    /// This is the invariant the pipelined executor
-    /// ([`Plan::reorganize_with_stats_depth`]) relies on: rounds kept in
-    /// flight simultaneously write into the shared needed-block buffer, which
-    /// is sound only because no two receives (in-round or cross-round) ever
-    /// target the same cell. Mapping construction guarantees it — each needed
-    /// cell is assigned to exactly one source chunk — so this holds for every
-    /// plan `setup_data_mapping` produces; the executor debug-asserts it
-    /// before overlapping rounds.
-    pub fn recv_regions_disjoint(&self) -> bool {
-        let regions: Vec<&Block> =
-            self.rounds.iter().flat_map(|r| r.recvs.iter().map(|t| &t.region)).collect();
-        for (i, a) in regions.iter().enumerate() {
-            for b in &regions[i + 1..] {
-                if a.intersect(b).is_some() {
-                    return false;
-                }
-            }
-        }
-        true
-    }
-
     /// Ranks this plan actually exchanges data with (excluding self); used
     /// to decide whether the sparse point-to-point strategy pays off.
     pub fn neighbor_count(&self) -> usize {

@@ -38,16 +38,12 @@ pub struct RedistStats {
     pub integrity_recvs: u64,
     /// Bytes those failed receives would have delivered.
     pub lost_bytes: u64,
-    /// Pipeline depth the executor actually ran at, after clamping the
-    /// requested depth against the credit windows and the memory governor's
-    /// remaining budget (0 when depth selection did not run, e.g. stats
-    /// built analytically via `Plan::expected_stats`). Runtime-dependent:
-    /// differential comparisons normalize it out.
+    /// Rounds the executor keeps in flight: always 1 for an executed call,
+    /// since rounds run one at a time. Constant; kept for the benchmark's
+    /// readers.
     pub effective_depth: usize,
-    /// Rounds that could not be posted at the requested depth because flow
-    /// control clamped the window — `min(rounds, requested) − min(rounds,
-    /// effective)`. Zero when nothing was throttled. Runtime-dependent, like
-    /// `effective_depth`.
+    /// Rounds throttled below the requested depth: always 0, since there is
+    /// no depth to throttle. Constant; kept for the benchmark's readers.
     pub throttled_rounds: usize,
 }
 
@@ -55,7 +51,8 @@ impl RedistStats {
     /// Account an executed redistribution of `plan` given the
     /// `(round, peer, loss kind)` receive failures its exchange reported.
     pub fn from_plan(plan: &Plan, failures: &[(usize, usize, LossKind)]) -> RedistStats {
-        let mut s = RedistStats { rounds: plan.rounds.len(), ..RedistStats::default() };
+        let mut s =
+            RedistStats { rounds: plan.rounds.len(), effective_depth: 1, ..RedistStats::default() };
         for (r, round) in plan.rounds.iter().enumerate() {
             for t in &round.sends {
                 if t.peer == plan.rank {
@@ -246,25 +243,6 @@ impl GlobalStats {
     pub fn total_local_bytes(&self) -> u64 {
         self.local.iter().flat_map(|r| r.iter()).sum()
     }
-
-    /// Largest send volume any rank can have posted simultaneously when the
-    /// executor keeps `depth` rounds in flight (`DDR_PIPELINE_DEPTH`): the
-    /// maximum, over ranks and over windows of `depth` consecutive rounds, of
-    /// the windowed sent-byte sum. Sizes the staging the pipelined path may
-    /// pin at once; `depth >= num_rounds` degenerates to the rank's total
-    /// sent bytes, `depth == 1` to [`Self::max_sent_per_rank_per_round`].
-    pub fn peak_inflight_sent_bytes(&self, depth: usize) -> u64 {
-        let depth = depth.max(1).min(self.num_rounds.max(1));
-        let mut peak = 0u64;
-        for rank in 0..self.nprocs {
-            for start in 0..self.num_rounds.saturating_sub(depth - 1) {
-                let window: u64 =
-                    (start..start + depth).map(|r| self.sent[r][rank]).fold(0, u64::saturating_add);
-                peak = peak.max(window);
-            }
-        }
-        peak
-    }
 }
 
 /// Zip four mutable slices (avoiding an itertools dependency).
@@ -371,19 +349,6 @@ mod tests {
         assert_eq!(s.recv[0][1], u64::MAX);
         let m = GlobalStats::pair_bytes(&layouts, 16, 0);
         assert_eq!(m[1], u64::MAX);
-    }
-
-    #[test]
-    fn peak_inflight_scales_with_pipeline_depth() {
-        let s = GlobalStats::compute(&e1_layouts(), 4);
-        // Depth 1 is the round-synchronous bound; depth >= rounds covers the
-        // whole schedule, so a rank's full sent total can be pinned at once.
-        assert_eq!(s.peak_inflight_sent_bytes(1), s.max_sent_per_rank_per_round());
-        let total_peak = s.peak_inflight_sent_bytes(s.num_rounds);
-        assert!(total_peak >= s.peak_inflight_sent_bytes(1));
-        assert_eq!(s.peak_inflight_sent_bytes(usize::MAX), total_peak);
-        // Depth 0 is clamped to 1 rather than reporting an empty window.
-        assert_eq!(s.peak_inflight_sent_bytes(0), s.peak_inflight_sent_bytes(1));
     }
 
     #[test]

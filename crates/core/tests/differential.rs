@@ -163,24 +163,12 @@ fn run_path(case: &Case, zerocopy: bool, check: bool, strategy: Strategy) -> Vec
     })
 }
 
-/// Strip the runtime-dependent flow-control fields before comparing:
-/// `effective_depth`/`throttled_rounds` legitimately differ between depths,
-/// paths, and the analytic plan prediction — the *data-movement* accounting
-/// is what must agree exactly.
-fn plan_pure(s: RedistStats) -> RedistStats {
-    RedistStats { effective_depth: 0, throttled_rounds: 0, ..s }
-}
-
 /// Byte-identical receive buffers and identical stats across the two paths.
 fn assert_paths_agree(seed: u64, fast: &[RankRun], legacy: &[RankRun]) {
     for (r, (f, l)) in fast.iter().zip(legacy).enumerate() {
         assert_eq!(f.need, l.need, "seed {seed}: rank {r} buffers diverge between paths");
-        assert_eq!(
-            plan_pure(f.stats),
-            plan_pure(l.stats),
-            "seed {seed}: rank {r} stats diverge between paths"
-        );
-        assert_eq!(plan_pure(f.stats), f.expected, "seed {seed}: rank {r} stats diverge from plan");
+        assert_eq!(f.stats, l.stats, "seed {seed}: rank {r} stats diverge between paths");
+        assert_eq!(f.stats, f.expected, "seed {seed}: rank {r} stats diverge from plan");
     }
     // The legacy path must never have minted a zero-copy loan...
     for (r, l) in legacy.iter().enumerate() {
@@ -264,109 +252,8 @@ fn differential_holds_for_point_to_point_strategy() {
         let p2p = run_path(&case, true, false, Strategy::PointToPoint);
         for (r, (f, p)) in fast.iter().zip(&p2p).enumerate() {
             assert_eq!(f.need, p.need, "seed {seed}: rank {r} p2p buffer diverges");
-            assert_eq!(
-                plan_pure(f.stats),
-                plan_pure(p.stats),
-                "seed {seed}: rank {r} p2p stats diverge"
-            );
+            assert_eq!(f.stats, p.stats, "seed {seed}: rank {r} p2p stats diverge");
         }
-    }
-}
-
-/// Execute `case` at an explicit pipeline depth (depth 1 is the
-/// round-synchronous reference; depth ≥ 2 keeps that many `ialltoallw`
-/// rounds in flight at once).
-fn run_depth(case: &Case, zerocopy: bool, check: bool, depth: usize) -> Vec<RankRun> {
-    let layouts = &case.layouts;
-    let (kind, nprocs) = (case.kind, case.nprocs);
-    let builder = Universe::builder().zerocopy(zerocopy).zerocopy_threshold(0).check(check);
-    builder.run(nprocs, move |comm| {
-        let me = &layouts[comm.rank()];
-        let desc = Descriptor::for_type::<u64>(nprocs, kind).unwrap();
-        let plan = desc
-            .setup_data_mapping_with(comm, &me.owned, me.need, ValidationPolicy::Strict)
-            .unwrap();
-        let data: Vec<Vec<u64>> =
-            me.owned.iter().map(|b| b.coords().map(cell_value).collect()).collect();
-        let refs: Vec<&[u64]> = data.iter().map(|v| v.as_slice()).collect();
-        let mut need = vec![u64::MAX; me.need.count() as usize];
-        let (report, stats) = plan
-            .reorganize_with_stats_depth(comm, &refs, &mut need, Strategy::Alltoallw, depth)
-            .unwrap();
-        assert!(report.is_complete());
-        RankRun {
-            need,
-            stats,
-            expected: plan.expected_stats(),
-            counters: comm.transport_counters(),
-        }
-    })
-}
-
-/// Pipelined vs round-synchronous must agree byte for byte with identical
-/// stats — `RedistStats` is a pure function of the plan, so any divergence
-/// means the pipeline reordered or lost data.
-fn assert_depths_agree(seed: u64, depth: usize, pipelined: &[RankRun], round_sync: &[RankRun]) {
-    for (r, (p, s)) in pipelined.iter().zip(round_sync).enumerate() {
-        assert_eq!(
-            p.need, s.need,
-            "seed {seed}: rank {r} buffers diverge between depth {depth} and depth 1"
-        );
-        assert_eq!(
-            plan_pure(p.stats),
-            plan_pure(s.stats),
-            "seed {seed}: rank {r} stats diverge between depth {depth} and depth 1"
-        );
-        assert_eq!(plan_pure(p.stats), p.expected, "seed {seed}: rank {r} stats diverge from plan");
-    }
-}
-
-/// The pipelined differential suite: the same 50 seeded layout pairs, each
-/// redistributed round-synchronously (depth 1) and with the pipeline keeping
-/// every round in flight (depth 4) — byte-identical buffers, identical
-/// stats. The seeded cases own up to 10 chunks across 2–5 ranks, so most
-/// plans are genuinely multi-round and the pipeline really overlaps.
-#[test]
-fn fifty_seeded_cases_pipelined_matches_round_synchronous() {
-    for seed in 0..50u64 {
-        let case = case_from_seed(seed);
-        let round_sync = run_depth(&case, true, false, 1);
-        let pipelined = run_depth(&case, true, false, 4);
-        assert_depths_agree(seed, 4, &pipelined, &round_sync);
-    }
-}
-
-/// The depth sweep from the issue: zerocopy {on, off} × check {off, on} ×
-/// depth {2, 4}, each against the depth-1 reference of the same
-/// configuration. Checked runs exercise collective fingerprinting across
-/// concurrently outstanding sequence numbers; zerocopy runs keep loans from
-/// multiple rounds live at once.
-#[test]
-fn pipeline_depth_matrix_is_byte_identical() {
-    for seed in 0..8u64 {
-        let case = case_from_seed(seed);
-        for &zerocopy in &[false, true] {
-            for &check in &[false, true] {
-                let round_sync = run_depth(&case, zerocopy, check, 1);
-                for &depth in &[2usize, 4] {
-                    let pipelined = run_depth(&case, zerocopy, check, depth);
-                    assert_depths_agree(seed, depth, &pipelined, &round_sync);
-                }
-            }
-        }
-    }
-}
-
-/// Depth 1 through the explicit-depth entry point is *the same code path* as
-/// the legacy round-synchronous executor was: it must agree with the default
-/// (`DDR_PIPELINE_DEPTH`-driven) entry point bit for bit.
-#[test]
-fn default_depth_matches_explicit_depth() {
-    for seed in 0..10u64 {
-        let case = case_from_seed(seed);
-        let implicit = run_path(&case, true, false, Strategy::Alltoallw);
-        let explicit = run_depth(&case, true, false, ddr_core::pipeline_depth());
-        assert_depths_agree(seed, ddr_core::pipeline_depth(), &explicit, &implicit);
     }
 }
 
@@ -406,7 +293,7 @@ fn fault_plan_forces_staging_and_paths_still_agree() {
     for (r, ((na, ca, sa, counters), (nb, cb, sb, _))) in a.iter().zip(&b).enumerate() {
         assert_eq!(na, nb, "rank {r}: degraded buffers diverge");
         assert_eq!(ca, cb, "rank {r}: completion status diverges");
-        assert_eq!(plan_pure(*sa), plan_pure(*sb), "rank {r}: degraded stats diverge");
+        assert_eq!(*sa, *sb, "rank {r}: degraded stats diverge");
         // The fault plan must have forced staging even with zerocopy requested.
         assert_eq!(counters.zerocopy_msgs, 0, "rank {r}: zerocopy engaged under a fault plan");
     }

@@ -11,9 +11,9 @@
 //! `DDR_LINT_STAGING_BOUND` (bytes, default 64 MiB) and findings are
 //! warnings — they show up in the report without failing the gate. When
 //! `DDR_MEM_BUDGET` is set, the memory-governor predictor
-//! ([`ddrcheck::lint_memory`]) runs too, forecasting whether a pipelined
-//! execution fits the budget (window overflows are warnings; a transfer no
-//! budget could ever admit is an error and fails the gate).
+//! ([`ddrcheck::lint_memory`]) runs too, forecasting whether execution fits
+//! the budget (a round that overflows it is a warning; a transfer no budget
+//! could ever admit is an error and fails the gate).
 
 use ddrcheck::{
     examples, has_errors, lint_mapping, lint_memory, lint_staging, render_report, Severity,
@@ -55,7 +55,7 @@ fn main() -> ExitCode {
                 })
                 .collect();
             diags.extend(lint_staging(&plans, bound));
-            diags.extend(lint_memory(&plans, ddr_core::pipeline_depth(), budget));
+            diags.extend(lint_memory(&plans, budget));
         }
         println!("{}", render_report(&case.name, &diags));
         if has_errors(&diags) {

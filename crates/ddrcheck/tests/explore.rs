@@ -240,14 +240,13 @@ fn explorer_finds_reuse_buffer_before_wait_race() {
     assert!(run(failure.seed).is_err(), "seed {} did not replay the race", failure.seed);
 }
 
-/// The full pipelined redistribution path end to end: a genuinely
-/// multi-round plan (3 chunks per rank → 3 rounds) driven at depth 4, so
-/// every round's `ialltoallw` is posted before the first is waited, with
-/// zero-copy loans, collective fingerprints across concurrently outstanding
+/// The full redistribution path end to end: a genuinely multi-round plan
+/// (3 chunks per rank → 3 rounds) through the default `reorganize_with_stats`,
+/// with zero-copy loans, collective fingerprints across consecutive
 /// sequence numbers, and vector clocks all live. Every explored schedule
 /// must deliver exact bytes and run clean.
 #[test]
-fn pipelined_reorganize_under_check_is_clean_across_schedules() {
+fn multi_round_reorganize_under_check_is_clean_across_schedules() {
     use ddr_core::{decompose, Block, DataKind, Descriptor, Strategy, ValidationPolicy};
     fn cell_value(c: [usize; 3]) -> u64 {
         (c[0] as u64) | ((c[1] as u64) << 20) | ((c[2] as u64) << 40)
@@ -277,14 +276,14 @@ fn pipelined_reorganize_under_check_is_clean_across_schedules() {
                 let refs: Vec<&[u64]> = data.iter().map(|v| v.as_slice()).collect();
                 let mut got = vec![u64::MAX; need.count() as usize];
                 let (report, _) = plan
-                    .reorganize_with_stats_depth(comm, &refs, &mut got, Strategy::Alltoallw, 4)
+                    .reorganize_with_stats(comm, &refs, &mut got, Strategy::Alltoallw)
                     .map_err(|e| e.to_string())?;
                 if !report.is_complete() {
                     return Err(format!("rank {r}: incomplete exchange on seed {seed}"));
                 }
                 let want: Vec<u64> = need.coords().map(cell_value).collect();
                 if got != want {
-                    return Err(format!("rank {r}: pipelined bytes diverge on seed {seed}"));
+                    return Err(format!("rank {r}: redistributed bytes diverge on seed {seed}"));
                 }
                 Ok(())
             });
@@ -292,8 +291,8 @@ fn pipelined_reorganize_under_check_is_clean_across_schedules() {
     });
     // No distinct-schedule floor here: the exchange's receives are all
     // source-ordered, so the delivery fingerprint is schedule-invariant —
-    // the sweep varies *timing* (post/wait overlap) rather than take order.
-    assert!(report.passed(), "{}", render_explore_report("pipelined reorganize", &report));
+    // the sweep varies *timing* rather than take order.
+    assert!(report.passed(), "{}", render_explore_report("multi-round reorganize", &report));
 }
 
 /// Corruption recovery (detect → NACK → retransmit) with checking *and*

@@ -442,8 +442,7 @@ impl Comm {
     ///
     /// The blocking collective is post-then-wait on the nonblocking engine,
     /// so both paths share one wire protocol, one error classification, and
-    /// one loan-drain discipline — the differential suite's byte-identity
-    /// between pipelined and round-synchronous execution holds by
+    /// one loan-drain discipline: the two agree byte for byte by
     /// construction.
     #[track_caller]
     fn alltoallw_impl(
@@ -560,9 +559,10 @@ impl Comm {
         };
 
         // Send phase (buffered; blocks only on the flow-control gate when a
-        // pair's credit window or the memory budget is full — the executor
-        // in ddr-core clamps pipeline depth to the credit window precisely
-        // so these eager deposits cannot deadlock). A deposit fails if this
+        // pair's credit window or the memory budget is full; one exchange
+        // puts at most one data envelope per pair in flight, which even a
+        // 1-credit window admits once the receiver drains, so these eager
+        // deposits cannot deadlock). A deposit fails if this
         // rank itself is dead — a hard error even under salvage — or with a
         // structured Timeout/MemoryPressure if a full gate makes no
         // progress for the whole watchdog window.
@@ -1004,8 +1004,7 @@ enum SrcProgress {
 ///
 /// The receive buffer is supplied at completion time (`wait`/`test`), not at
 /// post time, so several requests receiving into disjoint selections of the
-/// same buffer — the pipelined redistribution pattern — need no aliasing
-/// tricks. Epoch fencing, checksum verification, NACK/retransmit recovery,
+/// same buffer need no aliasing tricks. Epoch fencing, checksum verification, NACK/retransmit recovery,
 /// and vector-clock checking all behave exactly as in the blocking
 /// collective: the blocking path *is* post-then-wait on this type.
 #[must_use = "an exchange completes only through wait()/test(); dropping the request revokes its zero-copy loans"]

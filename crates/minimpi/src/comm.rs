@@ -755,16 +755,6 @@ impl Comm {
         Ok((packed, pre))
     }
 
-    /// True when any timing-perturbing instrumentation is armed (fault
-    /// injection, runtime checking, seeded schedule exploration). Adaptive
-    /// heuristics that compare wall-clock measurements (e.g. the pipeline
-    /// auto-fallback gate) must stay inert under these modes: the timings
-    /// are not representative, and injected sleeps would make the decision
-    /// seed-dependent.
-    pub fn timing_perturbed(&self) -> bool {
-        self.world.faults.is_some() || self.world.check.is_some() || self.world.sched.is_some()
-    }
-
     /// Deposit a control-plane message (retransmit verdicts/NACKs). Control
     /// traffic is neither checksummed nor fault-injected: the recovery
     /// protocol must itself stay reliable, and letting message rules consume
@@ -1341,14 +1331,7 @@ impl Comm {
 }
 
 /// Watchdog timeout used when none is set on the [`crate::Universe`]
-/// builder: `DDR_TIMEOUT_MS` (milliseconds), else the legacy
-/// `MINIMPI_TIMEOUT_SECS` (seconds), else 120 s.
+/// builder: `DDR_TIMEOUT_MS` (milliseconds), else 120 s.
 pub(crate) fn default_timeout() -> Duration {
-    if let Some(ms) = crate::env::u64_var("DDR_TIMEOUT_MS") {
-        return Duration::from_millis(ms);
-    }
-    match crate::env::u64_var("MINIMPI_TIMEOUT_SECS") {
-        Some(s) => Duration::from_secs(s),
-        None => Duration::from_secs(120),
-    }
+    crate::env::u64_var("DDR_TIMEOUT_MS").map_or(Duration::from_secs(120), Duration::from_millis)
 }

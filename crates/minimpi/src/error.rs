@@ -128,8 +128,8 @@ pub enum Error {
     /// single request exceeds the whole `DDR_MEM_BUDGET`, or the budget
     /// stayed exhausted with no global progress for a full watchdog
     /// timeout. This is the *final* stage of the degradation ladder — the
-    /// runtime first sheds zero-copy to staged, shrinks pipeline depth, and
-    /// trims the buffer pool before failing a reservation. Note that slow
+    /// runtime first sheds zero-copy to staged, then trims the buffer pool,
+    /// before failing a reservation. Note that slow
     /// peers are an advisory (`flow.slow_peers` counter), never an error.
     MemoryPressure {
         /// Bytes the denied reservation asked for.

@@ -22,9 +22,8 @@
 //!   `mem.high_water` metric and the bench's `peak_staging_bytes` column);
 //!   the *gate* only engages when a budget is configured. Degradation is
 //!   staged: zero-copy sheds to the staged path at 50% occupancy
-//!   ([`FlowLedger::shedding_zerocopy`]), the pipelined executor shrinks its
-//!   depth (see `ddr-core`), the buffer pool drops returned buffers instead
-//!   of retaining them ([`FlowLedger::pool_try_retain`]), and only a single
+//!   ([`FlowLedger::shedding_zerocopy`]), then the buffer pool drops
+//!   returned buffers instead of retaining them ([`FlowLedger::pool_try_retain`]), and only a single
 //!   request larger than the whole budget — or a budget wait that makes no
 //!   progress for a full timeout — returns [`Error::MemoryPressure`].
 //! * **Straggler detection** — each pair keeps an EWMA of credit-stall

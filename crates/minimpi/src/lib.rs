@@ -99,8 +99,8 @@
 //! `DDR_MEM_BUDGET` ([`UniverseBuilder::mem_budget`]). Overloaded senders
 //! park on a credit gate — observable via [`Comm::flow_counters`] and never
 //! mistaken for a deadlock by the watchdog or the wait-for-graph detector —
-//! and the runtime degrades in stages (shed zero-copy → shrink pipeline
-//! depth → trim the pool) before the terminal [`Error::MemoryPressure`].
+//! and the runtime degrades in stages (shed zero-copy → trim the pool)
+//! before the terminal [`Error::MemoryPressure`].
 //! Credits ride on the envelopes themselves, so the epoch sweep performed by
 //! [`Comm::reconfigure`] restores them exactly: no credit leaks or
 //! duplicates across a membership change.

@@ -48,8 +48,7 @@ pub struct UniverseBuilder {
 
 impl UniverseBuilder {
     /// Watchdog timeout applied to every blocking receive. Defaults to
-    /// `DDR_TIMEOUT_MS` (ms), else legacy `MINIMPI_TIMEOUT_SECS` (s),
-    /// else 120 s.
+    /// `DDR_TIMEOUT_MS` (ms), else 120 s.
     pub fn timeout(mut self, t: Duration) -> Self {
         self.timeout = Some(t);
         self
@@ -168,9 +167,8 @@ impl UniverseBuilder {
     /// Cap the universe's staging footprint: mailbox payloads and
     /// pool-retained capacity are metered against this budget, and the
     /// runtime degrades in stages as it fills — zero-copy sheds to the
-    /// staged path at 50% occupancy, the pipelined executor (in `ddr-core`)
-    /// shrinks its depth, the pool drops returned buffers instead of
-    /// retaining them — before a reservation that cannot ever fit (or a
+    /// staged path at 50% occupancy, then the pool drops returned buffers
+    /// instead of retaining them — before a reservation that cannot ever fit (or a
     /// budget wait with no global progress for a full timeout) fails with
     /// [`crate::Error::MemoryPressure`]. `0` (the default) meters without
     /// enforcing. Overrides `DDR_MEM_BUDGET`.
